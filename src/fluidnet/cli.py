@@ -13,14 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_from_mapping, load_config_file, parse_eta_list
+from .config import ExperimentConfig, config_from_mapping, load_config_file, parse_float_list
 from .errors import ConfigError, FluidNetError
 from .experiment import (correlation_for, fit_shift_law, fluid_cdf_for,
                          fluid_model_for, hexagonal_cdf_for, poisson_cdf_for,
                          throughput_for)
-from .io import write_cdf_csv, write_fit_report_csv, write_fluid_curve_csv, write_layout_csv
-from .placement import (ModelKind, generate_hexagonal, generate_poisson,
-                        hexagonal_density, region_for_expected_count)
+from .io import (write_cdf_csv, write_csv, write_fit_report_csv, write_fluid_curve_csv,
+                 write_layout_csv)
+from .placement import (generate_hexagonal, generate_poisson, hexagonal_density,
+                        region_for_expected_count)
 from .stats import CANONICAL_FIT, outage_probability
 
 CDF_ROWS = 512
@@ -81,7 +82,7 @@ def config_from_args(args) -> ExperimentConfig:
         if value is not None:
             overrides[key] = value
     if getattr(args, "eta", None):
-        overrides["eta_list"] = parse_eta_list(args.eta)
+        overrides["eta_list"] = parse_float_list(args.eta)
     return config_from_mapping(overrides, cfg)
 
 
@@ -89,16 +90,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _empirical_rows(cdf):
-    q = cdf.quantile(_CDF_P_GRID)
-    return q, _CDF_P_GRID
-
-
-def _fluid_rows(fluid_cdf):
-    q = fluid_cdf.quantile(_CDF_P_GRID)
-    return q, _CDF_P_GRID
 
 
 def cmd_generate(args) -> int:
@@ -116,79 +107,63 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _write_model_cdfs(config, model: str, out: Path, digest: str, fit=None):
-    for eta in config.eta_list:
+_CDF_BUILDERS = {"poisson": poisson_cdf_for, "hex": hexagonal_cdf_for,
+                 "fluid": fluid_cdf_for}
+
+
+def _cdfs(config, model: str) -> dict:
+    return {eta: _CDF_BUILDERS[model](config, eta) for eta in config.eta_list}
+
+
+def _write_cdfs(config, out: Path, model: str, cdfs: dict, **extra_comments):
+    """One cdf_<model>_eta<eta>.csv per {eta: cdf} entry: quantiles on a fixed p-grid."""
+    for eta, cdf in cdfs.items():
         label = _eta_label(eta)
-        comments = {"digest": digest, "model": model, "eta": eta, "seed": config.seed}
-        if model == "fluid":
-            sinr_db, prob = _fluid_rows(fluid_cdf_for(config, eta))
-        elif model == "fitted":
-            coeff = fit or CANONICAL_FIT
-            comments.update(a=coeff.a, b=coeff.b)
-            sinr_db, prob = _fluid_rows(fluid_cdf_for(config, eta, coeff.shift_db(eta)))
-        elif model == "hex":
-            sinr_db, prob = _empirical_rows(hexagonal_cdf_for(config, eta))
-        else:
-            sinr_db, prob = _empirical_rows(poisson_cdf_for(config, eta))
         path = out / f"cdf_{model}_eta{label}.csv"
-        write_cdf_csv(path, sinr_db, prob, comments)
+        write_cdf_csv(path, cdf.quantile(_CDF_P_GRID), _CDF_P_GRID,
+                      {"digest": config.digest(), "model": model, "eta": eta,
+                       "seed": config.seed, **extra_comments})
         _log(f"cdf: {model} eta={label} -> {path}")
 
 
 def cmd_cdf(args) -> int:
     config = config_from_args(args)
-    out = _out_dir(args)
-    _write_model_cdfs(config, args.model, out, config.digest())
+    _write_cdfs(config, _out_dir(args), args.model, _cdfs(config, args.model))
     return 0
 
 
-def cmd_fit(args) -> int:
-    config = config_from_args(args)
+def _fit_shifts(args, config):
+    """Poisson CDFs, fit.csv and the fitted-fluid CDFs, shared by fit and report."""
     if len(config.eta_list) < 2:
-        raise ConfigError("fit needs at least 2 eta values")
+        raise ConfigError(f"{args.command} needs at least 2 eta values")
     out = _out_dir(args)
-    digest = config.digest()
-    poisson_cdfs = {eta: poisson_cdf_for(config, eta) for eta in config.eta_list}
+    poisson_cdfs = _cdfs(config, "poisson")
     shift_fit = fit_shift_law(config, poisson_cdfs)
     write_fit_report_csv(shift_fit, out / "fit.csv",
-                         {"digest": digest, "seed": config.seed})
+                         {"digest": config.digest(), "seed": config.seed})
     coeff = shift_fit.coefficients
-    for eta in config.eta_list:
-        label = _eta_label(eta)
-        sinr_db, prob = _empirical_rows(poisson_cdfs[eta])
-        write_cdf_csv(out / f"cdf_poisson_eta{label}.csv", sinr_db, prob,
-                      {"digest": digest, "model": "poisson", "eta": eta, "seed": config.seed})
-        fitted = fluid_cdf_for(config, eta, coeff.shift_db(eta))
-        sinr_db, prob = _fluid_rows(fitted)
-        write_cdf_csv(out / f"cdf_fitted_eta{label}.csv", sinr_db, prob,
-                      {"digest": digest, "model": "fitted", "eta": eta, "seed": config.seed,
-                       "a": coeff.a, "b": coeff.b})
-    _log(f"fit: a={coeff.a:.4f} b={coeff.b:.4f} rms={shift_fit.rms_residual_db:.4f} dB")
+    _write_cdfs(config, out, "poisson", poisson_cdfs)
+    _write_cdfs(config, out, "fitted",
+                {eta: fluid_cdf_for(config, eta, coeff.shift_db(eta)) for eta in config.eta_list},
+                a=coeff.a, b=coeff.b)
+    _log(f"{args.command}: a={coeff.a:.4f} b={coeff.b:.4f} "
+         f"rms={shift_fit.rms_residual_db:.4f} dB")
+    return out, poisson_cdfs, shift_fit
+
+
+def cmd_fit(args) -> int:
+    _fit_shifts(args, config_from_args(args))
     return 0
 
 
 def cmd_report(args) -> int:
     config = config_from_args(args)
-    if len(config.eta_list) < 2:
-        raise ConfigError("report needs at least 2 eta values")
-    thresholds = [float(t) for t in str(args.outage_thresholds).split(",") if t.strip()]
-    out = _out_dir(args)
+    thresholds = np.array(parse_float_list(args.outage_thresholds))
+    out, poisson_cdfs, shift_fit = _fit_shifts(args, config)
     digest = config.digest()
-
-    poisson_cdfs = {eta: poisson_cdf_for(config, eta) for eta in config.eta_list}
-    for eta in config.eta_list:
-        label = _eta_label(eta)
-        sinr_db, prob = _empirical_rows(poisson_cdfs[eta])
-        write_cdf_csv(out / f"cdf_poisson_eta{label}.csv", sinr_db, prob,
-                      {"digest": digest, "model": "poisson", "eta": eta, "seed": config.seed})
-    _write_model_cdfs(config, "fluid", out, digest)
-    _write_model_cdfs(config, "hex", out, digest)
-
-    shift_fit = fit_shift_law(config, poisson_cdfs)
-    write_fit_report_csv(shift_fit, out / "fit.csv", {"digest": digest, "seed": config.seed})
-    _write_model_cdfs(config, "fitted", out, digest, fit=shift_fit.coefficients)
-
-    from .io import write_csv
+    fluid_cdfs = _cdfs(config, "fluid")
+    _write_cdfs(config, out, "fluid", fluid_cdfs)
+    _write_cdfs(config, out, "hex", _cdfs(config, "hex"))
 
     corr_rows = [(eta, correlation_for(config, eta, poisson_cdfs[eta]))
                  for eta in config.eta_list]
@@ -197,11 +172,9 @@ def cmd_report(args) -> int:
     outage_rows = []
     for eta in config.eta_list:
         fitted = fluid_cdf_for(config, eta, CANONICAL_FIT.shift_db(eta))
-        for t in thresholds:
-            outage_rows.append((eta, t,
-                                float(outage_probability(poisson_cdfs[eta], t)),
-                                float(outage_probability(fluid_cdf_for(config, eta), t)),
-                                float(outage_probability(fitted, t))))
+        columns = [outage_probability(cdf, thresholds)
+                   for cdf in (poisson_cdfs[eta], fluid_cdfs[eta], fitted)]
+        outage_rows += [(eta, *row) for row in zip(thresholds, *columns)]
     write_csv(out / "outage.csv",
               ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
               outage_rows, {"digest": digest})

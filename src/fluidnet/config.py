@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -27,6 +28,11 @@ class ExperimentConfig:
     rings: int = 3
 
     def validate(self) -> "ExperimentConfig":
+        numbers = [getattr(self, k) for k, kind in _FIELD_TYPES.items() if kind is float]
+        if not all(math.isfinite(v) for v in (*numbers, *self.eta_list)):
+            raise ConfigError("every real-valued setting must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.half_isd <= 0:
             raise ConfigError("half_isd must be positive")
         if self.expected_stations <= 0:
@@ -72,13 +78,16 @@ _FIELD_TYPES = {
 }
 
 
-def parse_eta_list(text: str) -> tuple:
+def parse_float_list(text: str) -> tuple:
+    """Parse a nonempty comma- (or semicolon-) separated list of finite numbers."""
     try:
         values = tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad eta list {text!r}") from exc
+        raise ConfigError(f"bad number list {text!r}") from exc
     if not values:
-        raise ConfigError("eta list is empty")
+        raise ConfigError(f"empty number list {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"non-finite value in {text!r}")
     return values
 
 
@@ -102,7 +111,7 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> 
     updates = {}
     for key, value in mapping.items():
         if key == "eta_list":
-            updates[key] = parse_eta_list(value) if isinstance(value, str) else tuple(value)
+            updates[key] = parse_float_list(value) if isinstance(value, str) else tuple(value)
         elif key in _FIELD_TYPES:
             try:
                 updates[key] = _FIELD_TYPES[key](value)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fluid import fluid_sinr, spectral_efficiency
+
 
 def fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
@@ -64,17 +66,15 @@ def write_cdf_csv(path, sinr_db, probability, comments):
 
 
 def write_fluid_curve_csv(model, path, n_points=512, exclusion=0.01, comments=None):
-    """Fluid cell profile on a geometric r-grid: SINR, CDF, spectral efficiency."""
-    from .fluid import FluidCdf, fluid_sinr, spectral_efficiency
+    """Fluid cell profile on a geometric r-grid: SINR, CDF, spectral efficiency.
 
-    rc = model.half_isd
+    SINR falls with r, so the CDF at the SINR of radius x*R_c is the area
+    share of the annulus beyond it, (1 - x^2) / (1 - exclusion^2).
+    """
     x = np.geomspace(exclusion, 1.0, n_points)
-    cdf = FluidCdf(model, exclusion)
-    rows = []
-    for xi in x:
-        gamma = fluid_sinr(model, xi * rc)
-        g_db = 10.0 * np.log10(gamma)
-        rows.append((xi, g_db, cdf.evaluate(g_db), spectral_efficiency(gamma)))
+    gamma = fluid_sinr(model, x * model.half_isd)
+    rows = zip(x, 10.0 * np.log10(gamma), (1 - x**2) / (1 - exclusion**2),
+               spectral_efficiency(gamma))
     write_csv(path, ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"], rows, comments)
 
 

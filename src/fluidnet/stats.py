@@ -101,9 +101,7 @@ def mean_horizontal_shift(reference, target, p_grid=DEFAULT_P_GRID) -> float:
     p = np.asarray(p_grid, dtype=float)
     if p.size == 0 or np.any((p <= 0) | (p >= 1)):
         raise DomainError("p_grid must be nonempty within (0, 1)")
-    qr = np.asarray([np.asarray(reference.quantile(pi)) for pi in p], dtype=float)
-    qt = np.asarray([np.asarray(target.quantile(pi)) for pi in p], dtype=float)
-    return float(np.mean(qr - qt))
+    return float(np.mean(reference.quantile(p) - target.quantile(p)))
 
 
 def fit_linear(etas, shifts) -> ShiftFit:

@@ -1,12 +1,18 @@
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fluidnet
 from fluidnet.cli import main
 from fluidnet.config import (DEFAULT_ETAS, ExperimentConfig, config_from_mapping,
-                             load_config_file, parse_eta_list)
+                             load_config_file, parse_float_list)
 from fluidnet.errors import ConfigError
+from fluidnet.fluid import FluidCdf, FluidModel
 
 
 class TestConfig:
@@ -27,6 +33,10 @@ class TestConfig:
         {"density_scale": 0.0},
         {"half_isd": -1.0},
         {"tx_power_w": 0.0},
+        {"eta_list": (float("nan"), 3.0)},
+        {"eta_list": (3.0, float("inf"))},
+        {"density_scale": float("nan")},
+        {"seed": -1},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -45,9 +55,10 @@ class TestConfig:
         assert cfg.effective_half_isd == pytest.approx(0.5)
 
     def test_parse_eta_list(self):
-        assert parse_eta_list("2.6,2.8, 3.0") == (2.6, 2.8, 3.0)
-        with pytest.raises(ConfigError):
-            parse_eta_list("abc")
+        assert parse_float_list("2.6,2.8, 3.0") == (2.6, 2.8, 3.0)
+        for bad in ("abc", "", "3.0,nan", "inf"):
+            with pytest.raises(ConfigError):
+                parse_float_list(bad)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.conf"
@@ -111,6 +122,31 @@ class TestCli:
     def test_invalid_eta_exits_2(self, tmp_path):
         assert main(["cdf", "--model", "fluid", "--eta", "1.5",
                      "--out", str(tmp_path)]) == 2
+
+    def test_nan_density_scale_exits_2(self, tmp_path):
+        assert main(["cdf", "--model", "poisson", "--density-scale", "nan",
+                     "--out", str(tmp_path)]) == 2
+
+    def test_bad_outage_thresholds_exit_2(self, tmp_path):
+        assert main(["report", "--eta", "2.8,3.0", "--outage-thresholds", "abc",
+                     "--out", str(tmp_path)]) == 2
+
+    def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
+        assert main(["report", "--eta", "2.3,3.0,5.5", "--runs", "1", "--users", "50",
+                     "--density-scale", "4", "--out", str(tmp_path)]) == 0
+        half_isd = ExperimentConfig(density_scale=4.0).effective_half_isd
+        for eta in (2.3, 3.0, 5.5):
+            _, rows = read_rows(tmp_path / f"fluid_curve_eta{eta:g}.csv")
+            cdf = FluidCdf(FluidModel(half_isd=half_isd, eta=eta), 0.01)
+            sinr_db, written = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
+            assert np.max(np.abs(written - cdf.evaluate(sinr_db))) <= 1e-9
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, fluidnet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_fit_outputs(self, tmp_path):
         assert main(["fit", "--eta", "2.8,3.6", "--runs", "5", "--users", "200",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fluidnet.errors import DomainError
 from fluidnet.fluid import (FluidCdf, FluidModel, average_cell_throughput,
@@ -141,6 +142,22 @@ class TestFluidCdf:
         analytic = np.array([fluid_cdf(m, g, eps) for g in grid])
         assert np.max(np.abs(empirical - analytic)) < 0.01
 
+    def test_array_matches_scalar(self):
+        m = model(3.3)
+        cdf = FluidCdf(m, 0.01, shift_db=1.5, cell_radius=mean_cell_radius(m))
+        # reaches past both ends of the SINR range, where the CDF clips to 0 and 1
+        grid = np.linspace(fluid_sinr_db(m, 1.2) - 5, fluid_sinr_db(m, 0.01) + 5, 301)
+        values = fluid_cdf(m, grid)
+        assert values[0] == 0.0 and values[-1] == 1.0
+        # array and scalar pow may round differently in the last bit, which can flip
+        # the final bisection step: allow one bracket width (1e-12 relative in r)
+        np.testing.assert_allclose(values, [fluid_cdf(m, g) for g in grid], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(cdf.evaluate(grid), [cdf.evaluate(g) for g in grid],
+                                   rtol=0, atol=1e-11)
+        r = np.linspace(0.01, 1.99, 50)
+        np.testing.assert_allclose(fluid_sinr(m, r), [fluid_sinr(m, ri) for ri in r], rtol=1e-14)
+        assert isinstance(fluid_cdf(m, 3.0), float) and isinstance(fluid_sinr(m, 0.5), float)
+
     def test_quantile_evaluate_consistency(self):
         cdf = FluidCdf(model(3.4), 0.01)
         for p in (0.1, 0.5, 0.9):
@@ -180,7 +197,6 @@ class TestThroughput:
 
     def test_weight_normalizes_to_one(self):
         # constant-integrand sanity: the radial weight integrates to exactly 1
-        from scipy.integrate import quad
         eps, rc = 0.01, 1.0
         norm = rc**2 * (1 - eps**2)
         value, _ = quad(lambda r: 2 * r / norm, eps * rc, rc, epsrel=1e-12)
@@ -193,6 +209,16 @@ class TestThroughput:
         r = np.sqrt(eps**2 + rng.random(1_000_000) * (1 - eps**2))
         mc = np.mean([math.log2(1 + fluid_sinr(m, ri)) for ri in r])
         assert average_cell_throughput(m, eps) == pytest.approx(mc, rel=3e-3)
+
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 4.2, 6.0])
+    @pytest.mark.parametrize("exclusion", [1e-6, 0.01, 0.5])
+    def test_average_against_quad(self, eta, exclusion):
+        # adaptive quadrature of the area-weighted integrand in r as the oracle
+        m = model(eta)
+        norm = 1 - exclusion**2
+        value, _ = quad(lambda r: math.log2(1 + fluid_sinr(m, r)) * 2 * r / norm,
+                        exclusion, 1.0, epsabs=1e-13, epsrel=1e-13, limit=500)
+        assert abs(average_cell_throughput(m, exclusion) - value) <= 1e-10
 
     def test_average_at_least_cell_edge(self):
         for eta in (2.5, 3.0, 4.0):
