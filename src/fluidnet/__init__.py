@@ -9,7 +9,7 @@ from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
                         generate_poisson, hexagonal_density,
                         region_for_expected_count)
 from .sinr import (PropagationModel, SinrSampleSet, UserSet, best_server,
-                   path_gain, run_monte_carlo, sinr, sinr_field)
+                   monte_carlo_sweep, path_gain, run_monte_carlo, sinr, sinr_field)
 from .stats import (CANONICAL_FIT, EmpiricalCdf, FitCoefficients, ShiftFit,
                     cdf_curve_correlation, correlation_coefficient,
                     empirical_cdf, fit_linear, mean_horizontal_shift,
@@ -25,7 +25,7 @@ __all__ = [
     "cell_edge_throughput", "correlation_coefficient", "empirical_cdf",
     "fit_linear", "fitted_sinr_db", "fluid_cdf", "fluid_sinr",
     "generate_hexagonal", "generate_poisson", "hexagonal_density",
-    "mean_horizontal_shift", "normalized_sinr", "outage_probability",
+    "mean_horizontal_shift", "monte_carlo_sweep", "normalized_sinr", "outage_probability",
     "path_gain", "quantile", "region_for_expected_count", "run_monte_carlo",
     "sinr", "sinr_field", "spectral_efficiency", "torus_distance",
 ]

@@ -16,12 +16,11 @@ import numpy as np
 from .config import ExperimentConfig, config_from_mapping, load_config_file, parse_float_list
 from .errors import ConfigError, FluidNetError
 from .experiment import (correlation_for, fit_shift_law, fluid_cdf_for,
-                         fluid_model_for, hexagonal_cdf_for, poisson_cdf_for,
-                         throughput_for)
+                         fluid_model_for, monte_carlo_cdfs, throughput_for)
 from .io import (write_cdf_csv, write_csv, write_fit_report_csv, write_fluid_curve_csv,
                  write_layout_csv)
-from .placement import (generate_hexagonal, generate_poisson, hexagonal_density,
-                        region_for_expected_count)
+from .placement import (ModelKind, generate_hexagonal, generate_poisson,
+                        hexagonal_density, region_for_expected_count)
 from .stats import CANONICAL_FIT, outage_probability
 
 CDF_ROWS = 512
@@ -107,12 +106,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_CDF_BUILDERS = {"poisson": poisson_cdf_for, "hex": hexagonal_cdf_for,
-                 "fluid": fluid_cdf_for}
+_MONTE_CARLO_KINDS = {"poisson": ModelKind.POISSON, "hex": ModelKind.HEXAGONAL}
 
 
 def _cdfs(config, model: str) -> dict:
-    return {eta: _CDF_BUILDERS[model](config, eta) for eta in config.eta_list}
+    if model == "fluid":
+        return {eta: fluid_cdf_for(config, eta) for eta in config.eta_list}
+    return monte_carlo_cdfs(config, _MONTE_CARLO_KINDS[model])
 
 
 def _write_cdfs(config, out: Path, model: str, cdfs: dict, **extra_comments):

@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .fluid import (FluidCdf, FluidModel, average_cell_throughput,
                     cell_edge_throughput, mean_cell_radius)
 from .placement import ModelKind
-from .sinr import SinrSampleSet, run_monte_carlo
+from .sinr import monte_carlo_sweep, run_monte_carlo
 from .stats import (CANONICAL_FIT, EmpiricalCdf, ShiftFit, cdf_curve_correlation,
                     empirical_cdf, fit_linear, mean_horizontal_shift)
 
@@ -38,9 +38,21 @@ def poisson_cdf_for(config: ExperimentConfig, eta: float) -> EmpiricalCdf:
     return empirical_cdf(run_monte_carlo(config, eta, ModelKind.POISSON))
 
 
+def monte_carlo_cdfs(config: ExperimentConfig,
+                     model_kind: ModelKind = ModelKind.POISSON) -> dict:
+    """{eta: EmpiricalCdf} over config.eta_list from one Monte Carlo sweep.
+
+    Each eta's linear samples are released as soon as its CDF is built.
+    """
+    if model_kind is ModelKind.HEXAGONAL:
+        # the hexagonal reference is deterministic; one run carries all information
+        config = replace(config, runs=1)
+    sample_sets = monte_carlo_sweep(config, model_kind)
+    return {eta: empirical_cdf(sample_sets.pop(eta)) for eta in list(sample_sets)}
+
+
 def hexagonal_cdf_for(config: ExperimentConfig, eta: float) -> EmpiricalCdf:
-    # the hexagonal reference is deterministic; one run carries all information
-    return empirical_cdf(run_monte_carlo(replace(config, runs=1), eta, ModelKind.HEXAGONAL))
+    return monte_carlo_cdfs(replace(config, eta_list=(eta,)), ModelKind.HEXAGONAL)[eta]
 
 
 def measure_shift(config: ExperimentConfig, eta: float,
@@ -57,8 +69,8 @@ def fit_shift_law(config: ExperimentConfig,
     if len(config.eta_list) < 2:
         raise ConfigError("shift fitting needs at least 2 eta values")
     etas = list(config.eta_list)
-    cdfs = poisson_cdfs or {}
-    shifts = [measure_shift(config, eta, cdfs.get(eta)) for eta in etas]
+    cdfs = poisson_cdfs if poisson_cdfs is not None else monte_carlo_cdfs(config)
+    shifts = [measure_shift(config, eta, cdfs[eta]) for eta in etas]
     return fit_linear(etas, shifts)
 
 

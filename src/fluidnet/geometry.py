@@ -55,11 +55,22 @@ def torus_distance(region: TorusRegion, p: Point, q: Point) -> float:
     return math.hypot(dx, dy)
 
 
+def _wrapped_axis_delta(a, b, period):
+    # For wrapped coordinates |a - b| lies in [0, period]. There `% period` is
+    # exact and changes only |a - b| = period, to 0; min() maps both to 0.
+    d = np.abs(a - b)
+    return np.minimum(d, period - d, out=d)
+
+
 def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise toroidal distances between point arrays a (n,2) and b (m,2)."""
-    dx = _axis_delta(a[:, 0:1], b[None, :, 0], region.width)
-    dy = _axis_delta(a[:, 1:2], b[None, :, 1], region.height)
-    return np.hypot(dx, dy)
+    """Pairwise toroidal distances between point arrays a (n,2) and b (m,2).
+
+    Both arrays must hold wrapped coordinates, x in [0, width] and y in
+    [0, height]; unlike torus_distance, points are not reduced first.
+    """
+    dx = _wrapped_axis_delta(a[:, 0:1], b[None, :, 0], region.width)
+    dy = _wrapped_axis_delta(a[:, 1:2], b[None, :, 1], region.height)
+    return np.hypot(dx, dy, out=dx)
 
 
 def wrapped_displacement(region: TorusRegion, origin: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -18,6 +18,12 @@ from .rng import generator, poisson_variate
 
 SQRT3 = math.sqrt(3.0)
 
+# Poisson draws with fewer than 2 stations are redrawn at most this often.
+# A draw takes a few microseconds, so giving up costs about 0.1 s; it
+# happens by chance (p < 1e-9) only when a draw keeps 2 or more stations
+# with probability under about 1e-3, i.e. a mean under 0.05 stations.
+MAX_POISSON_REDRAWS = 20_000
+
 
 class ModelKind(str, enum.Enum):
     HEXAGONAL = "hexagonal"
@@ -116,19 +122,23 @@ def generate_poisson(region: TorusRegion, density: float, seed: int,
     """Homogeneous Poisson process layout: N ~ Poisson(density * area),
     positions i.i.d. uniform, no pairwise constraint.
 
-    If N = 0 is drawn (undefined for SINR), the draw is repeated with an
-    incremented sub-seed; the redraw count is recorded on the layout.
+    If N < 2 is drawn (no interferer, so the zero-noise SINR is undefined),
+    the draw is repeated with an incremented sub-seed; the redraw count is
+    recorded on the layout. Raises InsufficientStations after
+    MAX_POISSON_REDRAWS redraws.
     """
     if density <= 0:
         raise DomainError("density must be positive")
     mean = density * region.area()
-    redraws = 0
-    while True:
+    for redraws in range(MAX_POISSON_REDRAWS + 1):
         rng = generator(seed, redraws)
         n = poisson_variate(rng, mean)
-        if n > 0:
+        if n >= 2:
             break
-        redraws += 1
+    else:
+        raise InsufficientStations(
+            f"{MAX_POISSON_REDRAWS} Poisson redraws with mean {mean:g} stations "
+            "all gave fewer than 2 stations")
     xy = rng.random((n, 2)) * np.array([region.width, region.height])
     if half_isd is None:
         half_isd = math.sqrt(SQRT3 / (6.0 * density))

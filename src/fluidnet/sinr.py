@@ -8,7 +8,8 @@ distance-only ratio r^-eta / sum_j r_j^-eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,19 +127,33 @@ def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarra
     return d
 
 
-def sinr_field(layout: NetworkLayout, model: PropagationModel, users: UserSet) -> np.ndarray:
-    """Linear SINR for every UE in the set, with exclusion-radius clamping."""
-    if layout.n_stations < 2 and model.thermal_noise == 0:
+def sinr_field(layout: NetworkLayout, model: PropagationModel | Sequence[PropagationModel],
+               users: UserSet) -> np.ndarray:
+    """Linear SINR for every UE in the set, with exclusion-radius clamping.
+
+    ``model`` is one PropagationModel, giving shape (users,), or a sequence
+    of them, giving shape (len(models), users). Distances and the clamp
+    depend only on the layout, so they are computed once for all models.
+    """
+    single = isinstance(model, PropagationModel)
+    models = [model] if single else list(model)
+    if layout.n_stations < 2 and any(m.thermal_noise == 0 for m in models):
         raise NoInterference("zero-noise SINR needs at least 2 stations")
     ue = users.points.astype(float).copy()
     d = torus_distance_matrix(layout.region, ue, layout.stations)
     d = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
-    gains = model.path_gain_constant * d ** (-model.path_loss_exponent)
     best = np.argmin(d, axis=1)
-    gbest = gains[np.arange(len(ue)), best]
-    signal = model.tx_power * gbest
-    interference = model.tx_power * (gains.sum(axis=1) - gbest)
-    return signal / (interference + model.thermal_noise)
+    rows = np.arange(len(ue))
+    gains = np.empty_like(d)
+    out = np.empty((len(models), len(ue)))
+    for m, sinr_row in zip(models, out):
+        np.power(d, -m.path_loss_exponent, out=gains)
+        gains *= m.path_gain_constant
+        gbest = gains[rows, best]
+        signal = m.tx_power * gbest
+        interference = m.tx_power * (gains.sum(axis=1) - gbest)
+        np.divide(signal, interference + m.thermal_noise, out=sinr_row)
+    return out[0] if single else out
 
 
 def experiment_region(config: ExperimentConfig, model_kind: ModelKind) -> TorusRegion:
@@ -150,28 +165,31 @@ def experiment_region(config: ExperimentConfig, model_kind: ModelKind) -> TorusR
     return region_for_expected_count(r, config.expected_stations)
 
 
-def run_monte_carlo(config: ExperimentConfig, eta: float,
-                    model_kind: ModelKind = ModelKind.POISSON) -> SinrSampleSet:
-    """Monte Carlo SINR experiment for one path-loss exponent.
+def monte_carlo_sweep(config: ExperimentConfig,
+                      model_kind: ModelKind = ModelKind.POISSON) -> dict:
+    """Monte Carlo SINR experiment for every path-loss exponent in config.eta_list.
 
     The UE set is drawn once; each run redraws the station layout from a
     derived sub-seed (the hexagonal reference layout is deterministic, so
-    its runs coincide). Samples are pooled in run-major order.
+    its runs coincide). Each layout is drawn and measured once for all
+    eta values. Returns {eta: SinrSampleSet}, samples pooled in run-major
+    order, one array per eta so callers can release them one at a time.
+    Raises DomainError when a layout yields a non-finite SINR.
     """
     config.validate()
-    if eta <= 2:
-        raise DomainError("path loss exponent must exceed 2")
+    etas = list(dict.fromkeys(config.eta_list))
     r = config.effective_half_isd
-    prop = PropagationModel(path_loss_exponent=eta,
-                            path_gain_constant=config.path_gain_k,
-                            tx_power=config.tx_power_w,
-                            thermal_noise=config.noise_w)
+    models = [PropagationModel(path_loss_exponent=eta,
+                               path_gain_constant=config.path_gain_k,
+                               tx_power=config.tx_power_w,
+                               thermal_noise=config.noise_w) for eta in etas]
     region = experiment_region(config, model_kind)
     users = draw_user_set(region, config.users, config.seed,
                           exclusion_radius=config.exclusion * r)
     density = hexagonal_density(r)
 
-    blocks = []
+    n = config.users
+    samples = [np.empty(config.runs * n) for _ in etas]
     hex_layout = None
     for k in range(1, config.runs + 1):
         if model_kind is ModelKind.HEXAGONAL:
@@ -182,7 +200,23 @@ def run_monte_carlo(config: ExperimentConfig, eta: float,
         else:
             layout = generate_poisson(region, density, child_seed(config.seed, k),
                                       half_isd=r)
-        blocks.append(sinr_field(layout, prop, users))
-    return SinrSampleSet(samples=np.concatenate(blocks), eta=eta, runs=config.runs,
-                         users=config.users, layout_model=model_kind,
-                         config_digest=config.digest(), seed=config.seed)
+        field = sinr_field(layout, models, users)
+        finite = np.isfinite(field).all(axis=1)
+        if not finite.all():
+            eta = etas[int(np.argmin(finite))]
+            raise DomainError(f"non-finite SINR at eta={eta:g} in layout {k}")
+        for eta_samples, row in zip(samples, field):
+            eta_samples[(k - 1) * n:k * n] = row
+    return {eta: SinrSampleSet(samples=s, eta=eta, runs=config.runs, users=n,
+                               layout_model=model_kind, config_digest=config.digest(),
+                               seed=config.seed)
+            for eta, s in zip(etas, samples)}
+
+
+def run_monte_carlo(config: ExperimentConfig, eta: float,
+                    model_kind: ModelKind = ModelKind.POISSON) -> SinrSampleSet:
+    """Monte Carlo SINR experiment for one path-loss exponent (see monte_carlo_sweep)."""
+    if eta <= 2:
+        raise DomainError("path loss exponent must exceed 2")
+    samples = monte_carlo_sweep(replace(config, eta_list=(eta,)), model_kind)[eta]
+    return replace(samples, config_digest=config.digest())

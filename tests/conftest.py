@@ -1,8 +1,7 @@
 import pytest
 
 from fluidnet.config import DEFAULT_ETAS, ExperimentConfig
-from fluidnet.sinr import run_monte_carlo
-from fluidnet.stats import empirical_cdf
+from fluidnet.experiment import monte_carlo_cdfs
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +11,5 @@ def full_config():
 
 @pytest.fixture(scope="session")
 def poisson_cdfs(full_config):
-    # one Monte Carlo pass per eta, shared across the acceptance criteria
-    return {eta: empirical_cdf(run_monte_carlo(full_config, eta))
-            for eta in full_config.eta_list}
+    # one Monte Carlo sweep over every eta, shared across the acceptance criteria
+    return monte_carlo_cdfs(full_config)

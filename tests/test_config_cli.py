@@ -131,6 +131,26 @@ class TestCli:
         assert main(["report", "--eta", "2.8,3.0", "--outage-thresholds", "abc",
                      "--out", str(tmp_path)]) == 2
 
+    def test_tiny_expected_stations_exits_3(self, tmp_path):
+        # no layout reaches 2 stations: the bounded redraw gives up instead of hanging
+        conf = tmp_path / "tiny.conf"
+        conf.write_text("expected_stations = 1e-9\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "fluidnet.cli", "cdf", "--model",
+                                 "poisson", "--config", str(conf), "--out", str(tmp_path)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3
+        assert "fewer than 2 stations" in result.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "hex", "--eta", "20", "--users", "50"],
+        ["--model", "poisson", "--eta", "40", "--runs", "1", "--users", "50"],
+    ], ids=["hex", "poisson"])
+    def test_non_finite_sinr_exits_3(self, tmp_path, args, capsys):
+        assert main(["cdf", *args, "--out", str(tmp_path)]) == 3
+        assert f"eta={args[3]}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
         assert main(["report", "--eta", "2.3,3.0,5.5", "--runs", "1", "--users", "50",
                      "--density-scale", "4", "--out", str(tmp_path)]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fluidnet.errors import DomainError
-from fluidnet.geometry import (Point, TorusRegion, torus_distance,
+from fluidnet.geometry import (Point, TorusRegion, _axis_delta, torus_distance,
                                torus_distance_matrix, wrapped_displacement)
 
 UNIT = TorusRegion(1.0, 1.0)
@@ -71,6 +71,18 @@ def test_distance_matrix_matches_scalar():
         for j in range(7):
             assert d[i, j] == pytest.approx(
                 torus_distance(region, Point(*a[i]), Point(*b[j])), abs=1e-12)
+
+
+def test_distance_matrix_bit_identical_to_modulo_form():
+    # the matrix path drops `% period` for wrapped points, including points on the edges
+    region = TorusRegion(2.7, 1.3)
+    rng = np.random.default_rng(41)
+    w, h = region.width, region.height
+    edges = [[0.0, 0.0], [w, h], [0.0, h], [w, 0.0], [w / 2, 0.0], [0.0, h / 2]]
+    pts = np.vstack([rng.random((300, 2)) * [w, h], edges])
+    expected = np.hypot(_axis_delta(pts[:, 0:1], pts[None, :, 0], w),
+                        _axis_delta(pts[:, 1:2], pts[None, :, 1], h))
+    assert np.array_equal(torus_distance_matrix(region, pts, pts), expected)
 
 
 def test_wrapped_displacement_nearest_image():

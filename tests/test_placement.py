@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from fluidnet import placement
 from fluidnet.errors import DomainError, InsufficientStations
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import (ModelKind, generate_hexagonal, generate_poisson,
@@ -72,6 +73,29 @@ class TestPoisson:
         layouts = [generate_poisson(region, 0.05, seed) for seed in range(200)]
         assert all(l.n_stations >= 1 for l in layouts)
         assert any(l.redraws > 0 for l in layouts)
+
+    def test_single_station_draw_redrawn(self, monkeypatch):
+        draws = []
+        real = placement.poisson_variate
+
+        def one_station_first(rng, mean):
+            draws.append(mean)
+            return 1 if len(draws) == 1 else real(rng, mean)
+
+        monkeypatch.setattr(placement, "poisson_variate", one_station_first)
+        layout = generate_poisson(region_for_expected_count(1.0, 50.0),
+                                  hexagonal_density(1.0), seed=3)
+        assert len(draws) == 2
+        assert layout.redraws == 1 and layout.n_stations >= 2
+
+    def test_redraws_bounded(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(placement, "MAX_POISSON_REDRAWS", 3)
+        monkeypatch.setattr(placement, "poisson_variate",
+                            lambda rng, mean: draws.append(mean) or 1)
+        with pytest.raises(InsufficientStations):
+            generate_poisson(TorusRegion(1.0, 1.0), 1.0, seed=4)
+        assert len(draws) == 4
 
     def test_count_chi_squared_goodness_of_fit(self):
         region = region_for_expected_count(1.0, 50.0)

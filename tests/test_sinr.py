@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,8 +9,11 @@ from fluidnet.errors import DomainError, NoInterference, NonPositiveDistance
 from fluidnet.experiment import fluid_cdf_for
 from fluidnet.geometry import Point, TorusRegion, torus_distance
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
-from fluidnet.sinr import (PropagationModel, UserSet, best_server, path_gain,
-                           run_monte_carlo, sinr, sinr_field)
+from fluidnet.sinr import (PropagationModel, UserSet, best_server, monte_carlo_sweep,
+                           path_gain, run_monte_carlo, sinr, sinr_field)
+
+# the package attribute fluidnet.sinr is the function sinr, not the module
+SINR_MODULE = importlib.import_module("fluidnet.sinr")
 
 
 def make_layout(stations, width=10.0, height=10.0):
@@ -150,6 +154,17 @@ class TestSinrField:
         assert field[0] == pytest.approx(clamped, rel=1e-9)
         assert np.all(np.isfinite(field))
 
+    def test_model_sequence_rows_match_single_model(self):
+        rng = np.random.default_rng(31)
+        layout = make_layout(rng.random((12, 2)) * 10.0)
+        users = UserSet(points=rng.random((40, 2)) * 10.0, seed=0, exclusion_radius=0.3)
+        models = [PropagationModel(2.4), PropagationModel(3.3, path_gain_constant=2.0),
+                  PropagationModel(4.1, tx_power=0.5, thermal_noise=1e-6)]
+        field = sinr_field(layout, models, users)
+        assert field.shape == (3, 40)
+        for row, m in zip(field, models):
+            assert np.array_equal(row, sinr_field(layout, m, users))
+
 
 class TestMonteCarlo:
     def test_determinism(self):
@@ -192,6 +207,48 @@ class TestMonteCarlo:
         fluid_median = FluidCdf(FluidModel(half_isd=1.0, eta=3.0), 0.01).quantile(0.5)
         gap = fluid_median - s.db().mean()
         assert 2.0 < gap < 5.0
+
+    def test_sweep_draws_and_measures_each_layout_once(self, monkeypatch):
+        counts = {"layouts": 0, "distances": 0, "clamp_distances": 0}
+        in_clamp = [False]
+        generate, distances, clamp = (SINR_MODULE.generate_poisson,
+                                      SINR_MODULE.torus_distance_matrix,
+                                      SINR_MODULE._clamp_to_exclusion)
+
+        def counted_generate(*args, **kwargs):
+            counts["layouts"] += 1
+            return generate(*args, **kwargs)
+
+        def counted_distances(*args, **kwargs):
+            counts["clamp_distances" if in_clamp[0] else "distances"] += 1
+            return distances(*args, **kwargs)
+
+        def flagged_clamp(*args, **kwargs):
+            in_clamp[0] = True
+            try:
+                return clamp(*args, **kwargs)
+            finally:
+                in_clamp[0] = False
+
+        monkeypatch.setattr(SINR_MODULE, "generate_poisson", counted_generate)
+        monkeypatch.setattr(SINR_MODULE, "torus_distance_matrix", counted_distances)
+        monkeypatch.setattr(SINR_MODULE, "_clamp_to_exclusion", flagged_clamp)
+        # a wide exclusion radius makes the clamp recompute distances too
+        cfg = ExperimentConfig(runs=4, users=60, eta_list=(2.4, 2.8, 3.2, 3.6, 4.0),
+                               exclusion=0.3)
+        sweep = monte_carlo_sweep(cfg)
+        assert list(sweep) == list(cfg.eta_list)
+        assert counts["layouts"] == 4 and counts["distances"] == 4
+        assert counts["clamp_distances"] > 0
+
+    @pytest.mark.parametrize("kind", [ModelKind.POISSON, ModelKind.HEXAGONAL])
+    def test_sweep_matches_one_eta_runs(self, kind):
+        cfg = ExperimentConfig(runs=3, users=50, eta_list=(2.3, 3.0, 4.5), seed=21)
+        sweep = monte_carlo_sweep(cfg, kind)
+        for eta in cfg.eta_list:
+            single = run_monte_carlo(cfg, eta, kind)
+            assert np.array_equal(sweep[eta].samples, single.samples)
+            assert sweep[eta].samples.shape == (150,)
 
     def test_invalid_eta(self):
         cfg = ExperimentConfig(runs=1, users=10, eta_list=(3.0,))
