@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .parallel import map_row_blocks
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,12 @@ def torus_distance(region: TorusRegion, p: Point, q: Point) -> float:
     return math.hypot(dx, dy)
 
 
-def _wrapped_axis_delta(a, b, period):
+def _wrapped_axis_delta(a, b, period, out, scratch):
+    # Writes the nearest-image |a - b| into out; scratch is overwritten.
     # For wrapped coordinates |a - b| lies in [0, period]. There `% period` is
     # exact and changes only |a - b| = period, to 0; min() maps both to 0.
-    d = np.abs(a - b)
-    return np.minimum(d, period - d, out=d)
+    np.abs(np.subtract(a, b, out=out), out=out)
+    np.minimum(out, np.subtract(period, out, out=scratch), out=out)
 
 
 def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,10 +69,18 @@ def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray) -> 
 
     Both arrays must hold wrapped coordinates, x in [0, width] and y in
     [0, height]; unlike torus_distance, points are not reduced first.
+    Row blocks of the result are computed on separate threads.
     """
-    dx = _wrapped_axis_delta(a[:, 0:1], b[None, :, 0], region.width)
-    dy = _wrapped_axis_delta(a[:, 1:2], b[None, :, 1], region.height)
-    return np.hypot(dx, dy, out=dx)
+    shape = (len(a), len(b))
+    dx, dy, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def fill(rows):
+        _wrapped_axis_delta(a[rows, 0:1], b[None, :, 0], region.width, dx[rows], scratch[rows])
+        _wrapped_axis_delta(a[rows, 1:2], b[None, :, 1], region.height, dy[rows], scratch[rows])
+        np.hypot(dx[rows], dy[rows], out=dx[rows])
+
+    map_row_blocks(fill, len(a))
+    return dx
 
 
 def wrapped_displacement(region: TorusRegion, origin: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import DomainError, NoInterference, NonPositiveDistance
 from .geometry import Point, TorusRegion, torus_distance_matrix, wrapped_displacement
+from .parallel import map_row_blocks
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
                         generate_poisson, hexagonal_density,
                         region_for_expected_count)
@@ -133,7 +134,8 @@ def sinr_field(layout: NetworkLayout, model: PropagationModel | Sequence[Propaga
 
     ``model`` is one PropagationModel, giving shape (users,), or a sequence
     of them, giving shape (len(models), users). Distances and the clamp
-    depend only on the layout, so they are computed once for all models.
+    depend only on the layout, so they are computed once for all models;
+    the per-model reduction runs on row blocks in separate threads.
     """
     single = isinstance(model, PropagationModel)
     models = [model] if single else list(model)
@@ -143,16 +145,21 @@ def sinr_field(layout: NetworkLayout, model: PropagationModel | Sequence[Propaga
     d = torus_distance_matrix(layout.region, ue, layout.stations)
     d = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
     best = np.argmin(d, axis=1)
-    rows = np.arange(len(ue))
+    index = np.arange(len(ue))
     gains = np.empty_like(d)
     out = np.empty((len(models), len(ue)))
-    for m, sinr_row in zip(models, out):
-        np.power(d, -m.path_loss_exponent, out=gains)
-        gains *= m.path_gain_constant
-        gbest = gains[rows, best]
-        signal = m.tx_power * gbest
-        interference = m.tx_power * (gains.sum(axis=1) - gbest)
-        np.divide(signal, interference + m.thermal_noise, out=sinr_row)
+
+    def reduce_rows(rows):
+        g, b, i = gains[rows], best[rows], index[:rows.stop - rows.start]
+        for m, sinr_row in zip(models, out):
+            np.power(d[rows], -m.path_loss_exponent, out=g)
+            g *= m.path_gain_constant
+            gbest = g[i, b]
+            signal = m.tx_power * gbest
+            interference = m.tx_power * (g.sum(axis=1) - gbest)
+            np.divide(signal, interference + m.thermal_noise, out=sinr_row[rows])
+
+    map_row_blocks(reduce_rows, len(ue))
     return out[0] if single else out
 
 

@@ -168,6 +168,18 @@ class TestCli:
                                 text=True, check=True)
         assert result.stdout.strip() == "[]"
 
+    def test_cli_import_and_one_row_start_no_thread_pool(self):
+        # set-up pays for no threads: concurrent.futures and the pool load on the first split
+        code = ("import sys, fluidnet.cli\n"
+                "from fluidnet import Point, best_server, generate_hexagonal, parallel\n"
+                "imported = 'concurrent.futures' in sys.modules\n"
+                "best_server(generate_hexagonal(1.0, 2), Point(0.1, 0.2))\n"
+                "print(imported, 'concurrent.futures' in sys.modules, parallel._pool)")
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "False False None"
+
     def test_fit_outputs(self, tmp_path):
         assert main(["fit", "--eta", "2.8,3.6", "--runs", "5", "--users", "200",
                      "--out", str(tmp_path)]) == 0

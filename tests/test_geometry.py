@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fluidnet import parallel
 from fluidnet.errors import DomainError
 from fluidnet.geometry import (Point, TorusRegion, _axis_delta, torus_distance,
                                torus_distance_matrix, wrapped_displacement)
@@ -83,6 +84,21 @@ def test_distance_matrix_bit_identical_to_modulo_form():
     expected = np.hypot(_axis_delta(pts[:, 0:1], pts[None, :, 0], w),
                         _axis_delta(pts[:, 1:2], pts[None, :, 1], h))
     assert np.array_equal(torus_distance_matrix(region, pts, pts), expected)
+
+
+def test_distance_matrix_independent_of_worker_count(worker_count):
+    # an odd row count gives blocks of unequal size; every one matches the `%` form
+    region = TorusRegion(2.7, 1.3)
+    rng = np.random.default_rng(43)
+    w, h = region.width, region.height
+    a = rng.random((1001, 2)) * [w, h]
+    b = rng.random((37, 2)) * [w, h]
+    expected = np.hypot(_axis_delta(a[:, 0:1], b[None, :, 0], w),
+                        _axis_delta(a[:, 1:2], b[None, :, 1], h))
+    assert 1001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
+    for workers in (1, 2, 3):
+        worker_count(workers)
+        assert np.array_equal(torus_distance_matrix(region, a, b), expected)
 
 
 def test_wrapped_displacement_nearest_image():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fluidnet import parallel
 from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError, NoInterference, NonPositiveDistance
 from fluidnet.experiment import fluid_cdf_for
@@ -164,6 +165,20 @@ class TestSinrField:
         assert field.shape == (3, 40)
         for row, m in zip(field, models):
             assert np.array_equal(row, sinr_field(layout, m, users))
+
+    def test_independent_of_worker_count(self, worker_count):
+        # row blocks decide only which thread computes a row, never its arithmetic
+        rng = np.random.default_rng(37)
+        layout = make_layout(rng.random((50, 2)) * 10.0)
+        users = UserSet(points=rng.random((2001, 2)) * 10.0, seed=0, exclusion_radius=0.2)
+        models = [PropagationModel(2.4), PropagationModel(3.3, path_gain_constant=2.0),
+                  PropagationModel(4.1, tx_power=0.5, thermal_noise=1e-6)]
+        assert 2001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
+        fields = []
+        for workers in (1, 2, 3):
+            worker_count(workers)
+            fields.append(sinr_field(layout, models, users))
+        assert all(np.array_equal(fields[0], f) for f in fields[1:])
 
 
 class TestMonteCarlo:
