@@ -21,7 +21,7 @@ from .io import (write_cdf_csv, write_csv, write_fit_report_csv, write_fluid_cur
                  write_layout_csv)
 from .placement import (ModelKind, generate_hexagonal, generate_poisson,
                         hexagonal_density, region_for_expected_count)
-from .stats import CANONICAL_FIT, outage_probability
+from .stats import CANONICAL_FIT
 
 CDF_ROWS = 512
 _CDF_P_GRID = np.arange(1, CDF_ROWS + 1) / (CDF_ROWS + 1)
@@ -80,14 +80,17 @@ def config_from_args(args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "eta", None):
+    if getattr(args, "eta", None) is not None:
         overrides["eta_list"] = parse_float_list(args.eta)
     return config_from_mapping(overrides, cfg)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -99,7 +102,7 @@ def cmd_generate(args) -> int:
         layout = generate_hexagonal(r, config.rings, seed=config.seed)
     else:
         region = region_for_expected_count(r, config.expected_stations)
-        layout = generate_poisson(region, hexagonal_density(r), config.seed, half_isd=r)
+        layout = generate_poisson(region, hexagonal_density(r), config.seed)
     path = out / "layout_0.csv"
     write_layout_csv(layout, path, digest=config.digest())
     _log(f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
@@ -172,7 +175,7 @@ def cmd_report(args) -> int:
     outage_rows = []
     for eta in config.eta_list:
         fitted = fluid_cdf_for(config, eta, CANONICAL_FIT.shift_db(eta))
-        columns = [outage_probability(cdf, thresholds)
+        columns = [cdf.evaluate(thresholds)
                    for cdf in (poisson_cdfs[eta], fluid_cdfs[eta], fitted)]
         outage_rows += [(eta, *row) for row in zip(thresholds, *columns)]
     write_csv(out / "outage.csv",

@@ -7,14 +7,15 @@ horizontal CDF offset, and fit it as a line in the path-loss exponent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .fluid import (FluidCdf, FluidModel, average_cell_throughput,
                     cell_edge_throughput, mean_cell_radius)
 from .placement import ModelKind
-from .sinr import monte_carlo_sweep, run_monte_carlo
+# perfbench's tracer hooks run_monte_carlo here until ROADMAP item 1 moves the hook.
+from .sinr import monte_carlo_sweep, run_monte_carlo  # noqa: F401
 from .stats import (CANONICAL_FIT, EmpiricalCdf, ShiftFit, cdf_curve_correlation,
                     empirical_cdf, fit_linear, mean_horizontal_shift)
 
@@ -34,32 +35,18 @@ def fluid_cdf_for(config: ExperimentConfig, eta: float, shift_db: float = 0.0) -
     return FluidCdf(m, config.exclusion, shift_db, cell_radius=mean_cell_radius(m))
 
 
-def poisson_cdf_for(config: ExperimentConfig, eta: float) -> EmpiricalCdf:
-    return empirical_cdf(run_monte_carlo(config, eta, ModelKind.POISSON))
-
-
 def monte_carlo_cdfs(config: ExperimentConfig,
                      model_kind: ModelKind = ModelKind.POISSON) -> dict:
     """{eta: EmpiricalCdf} over config.eta_list from one Monte Carlo sweep.
 
     Each eta's linear samples are released as soon as its CDF is built.
     """
-    if model_kind is ModelKind.HEXAGONAL:
-        # the hexagonal reference is deterministic; one run carries all information
-        config = replace(config, runs=1)
-    sample_sets = monte_carlo_sweep(config, model_kind)
-    return {eta: empirical_cdf(sample_sets.pop(eta)) for eta in list(sample_sets)}
+    samples = monte_carlo_sweep(config, model_kind)
+    return {eta: empirical_cdf(samples.pop(eta)) for eta in list(samples)}
 
 
-def hexagonal_cdf_for(config: ExperimentConfig, eta: float) -> EmpiricalCdf:
-    return monte_carlo_cdfs(replace(config, eta_list=(eta,)), ModelKind.HEXAGONAL)[eta]
-
-
-def measure_shift(config: ExperimentConfig, eta: float,
-                  poisson: EmpiricalCdf | None = None) -> float:
+def measure_shift(config: ExperimentConfig, eta: float, poisson: EmpiricalCdf) -> float:
     """Mean dB offset of the fluid CDF to the right of the Poisson CDF."""
-    if poisson is None:
-        poisson = poisson_cdf_for(config, eta)
     return mean_horizontal_shift(fluid_cdf_for(config, eta), poisson)
 
 
@@ -74,11 +61,9 @@ def fit_shift_law(config: ExperimentConfig,
     return fit_linear(etas, shifts)
 
 
-def correlation_for(config: ExperimentConfig, eta: float,
-                    poisson: EmpiricalCdf | None = None, fit=CANONICAL_FIT) -> float:
+def correlation_for(config: ExperimentConfig, eta: float, poisson: EmpiricalCdf,
+                    fit=CANONICAL_FIT) -> float:
     """Correlation between the fitted-fluid and Poisson CDF curves at one eta."""
-    if poisson is None:
-        poisson = poisson_cdf_for(config, eta)
     fitted = fluid_cdf_for(config, eta, shift_db=fit.shift_db(eta))
     return cdf_curve_correlation(fitted, poisson)
 

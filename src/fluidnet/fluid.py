@@ -166,10 +166,6 @@ class FluidCdf:
         r = np.sqrt(edge**2 - parr * (edge**2 - lo**2))
         return _float_if_scalar(fluid_sinr_db(self.model, r) - self.shift_db)
 
-    def shifted(self, shift_db: float) -> "FluidCdf":
-        return FluidCdf(self.model, self.exclusion, self.shift_db + shift_db,
-                        self.cell_radius)
-
 
 def spectral_efficiency(gamma):
     """Shannon spectral efficiency log2(1 + gamma) in bits/s/Hz."""

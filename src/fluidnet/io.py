@@ -42,24 +42,6 @@ def write_layout_csv(layout, path, digest=None):
     write_csv(path, ["bs_id", "x", "y"], rows, comments)
 
 
-def write_samples_csv(sample_set, path):
-    comments = {
-        "digest": sample_set.config_digest,
-        "seed": sample_set.seed,
-        "model": sample_set.layout_model.value,
-        "eta": sample_set.eta,
-        "runs": sample_set.runs,
-        "users": sample_set.users,
-    }
-    db = sample_set.db()
-
-    def rows():
-        for idx, (lin, val_db) in enumerate(zip(sample_set.samples, db)):
-            yield idx // sample_set.users + 1, idx % sample_set.users, lin, val_db
-
-    write_csv(path, ["run", "ue_id", "sinr_linear", "sinr_db"], rows(), comments)
-
-
 def write_cdf_csv(path, sinr_db, probability, comments):
     rows = zip(np.asarray(sinr_db, dtype=float), np.asarray(probability, dtype=float))
     write_csv(path, ["sinr_db", "probability"], rows, comments)

@@ -46,7 +46,6 @@ class NetworkLayout:
     model: ModelKind
     density: float
     seed: int
-    half_isd: float
     redraws: int = 0
 
     def __post_init__(self):
@@ -114,11 +113,10 @@ def generate_hexagonal(half_isd: float, rings: int, seed: int = 0,
     stations[:, 0] %= region.width
     stations[:, 1] %= region.height
     return NetworkLayout(region=region, stations=stations, model=ModelKind.HEXAGONAL,
-                         density=hexagonal_density(r), seed=seed, half_isd=r)
+                         density=hexagonal_density(r), seed=seed)
 
 
-def generate_poisson(region: TorusRegion, density: float, seed: int,
-                     half_isd: float | None = None) -> NetworkLayout:
+def generate_poisson(region: TorusRegion, density: float, seed: int) -> NetworkLayout:
     """Homogeneous Poisson process layout: N ~ Poisson(density * area),
     positions i.i.d. uniform, no pairwise constraint.
 
@@ -140,8 +138,5 @@ def generate_poisson(region: TorusRegion, density: float, seed: int,
             f"{MAX_POISSON_REDRAWS} Poisson redraws with mean {mean:g} stations "
             "all gave fewer than 2 stations")
     xy = rng.random((n, 2)) * np.array([region.width, region.height])
-    if half_isd is None:
-        half_isd = math.sqrt(SQRT3 / (6.0 * density))
     return NetworkLayout(region=region, stations=xy, model=ModelKind.POISSON,
-                         density=density, seed=seed, half_isd=half_isd,
-                         redraws=redraws)
+                         density=density, seed=seed, redraws=redraws)

@@ -50,24 +50,7 @@ class UserSet:
     """UE positions, fixed across Monte Carlo runs."""
 
     points: np.ndarray  # (n, 2)
-    seed: int
     exclusion_radius: float
-
-
-@dataclass(frozen=True)
-class SinrSampleSet:
-    """Pooled linear-scale SINR values from a Monte Carlo experiment."""
-
-    samples: np.ndarray  # (runs * users,) linear scale, run-major order
-    eta: float
-    runs: int
-    users: int
-    layout_model: ModelKind
-    config_digest: str
-    seed: int
-
-    def db(self) -> np.ndarray:
-        return 10.0 * np.log10(self.samples)
 
 
 def path_gain(model: PropagationModel, distance: float):
@@ -100,7 +83,7 @@ def sinr(layout: NetworkLayout, model: PropagationModel, u: Point) -> float:
 def draw_user_set(region: TorusRegion, n: int, seed: int, exclusion_radius: float) -> UserSet:
     rng = generator(seed, _UE_STREAM)
     xy = rng.random((n, 2)) * np.array([region.width, region.height])
-    return UserSet(points=xy, seed=seed, exclusion_radius=exclusion_radius)
+    return UserSet(points=xy, exclusion_radius=exclusion_radius)
 
 
 def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarray,
@@ -128,17 +111,14 @@ def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarra
     return d
 
 
-def sinr_field(layout: NetworkLayout, model: PropagationModel | Sequence[PropagationModel],
+def sinr_field(layout: NetworkLayout, models: Sequence[PropagationModel],
                users: UserSet) -> np.ndarray:
-    """Linear SINR for every UE in the set, with exclusion-radius clamping.
+    """Linear SINR of shape (len(models), users), with exclusion-radius clamping.
 
-    ``model`` is one PropagationModel, giving shape (users,), or a sequence
-    of them, giving shape (len(models), users). Distances and the clamp
-    depend only on the layout, so they are computed once for all models;
-    the per-model reduction runs on row blocks in separate threads.
+    Distances and the clamp depend only on the layout, so they are computed
+    once for all models; the per-model reduction runs on row blocks in
+    separate threads.
     """
-    single = isinstance(model, PropagationModel)
-    models = [model] if single else list(model)
     if layout.n_stations < 2 and any(m.thermal_noise == 0 for m in models):
         raise NoInterference("zero-noise SINR needs at least 2 stations")
     ue = users.points.astype(float).copy()
@@ -160,27 +140,19 @@ def sinr_field(layout: NetworkLayout, model: PropagationModel | Sequence[Propaga
             np.divide(signal, interference + m.thermal_noise, out=sinr_row[rows])
 
     map_row_blocks(reduce_rows, len(ue))
-    return out[0] if single else out
-
-
-def experiment_region(config: ExperimentConfig, model_kind: ModelKind) -> TorusRegion:
-    """Simulation region for a config: sized for the expected station count
-    (Poisson) or for the wrap-compatible lattice (hexagonal)."""
-    r = config.effective_half_isd
-    if model_kind is ModelKind.HEXAGONAL:
-        return generate_hexagonal(r, config.rings, fill_region=True).region
-    return region_for_expected_count(r, config.expected_stations)
+    return out
 
 
 def monte_carlo_sweep(config: ExperimentConfig,
                       model_kind: ModelKind = ModelKind.POISSON) -> dict:
     """Monte Carlo SINR experiment for every path-loss exponent in config.eta_list.
 
-    The UE set is drawn once; each run redraws the station layout from a
-    derived sub-seed (the hexagonal reference layout is deterministic, so
-    its runs coincide). Each layout is drawn and measured once for all
-    eta values. Returns {eta: SinrSampleSet}, samples pooled in run-major
-    order, one array per eta so callers can release them one at a time.
+    The UE set is drawn once. The Poisson model redraws the station layout
+    for each of config.runs runs from a derived sub-seed; the hexagonal
+    reference layout is deterministic, so it is drawn and measured once.
+    Each layout is measured once for all eta values. Returns
+    {eta: linear SINR samples}, pooled in run-major order, one array per
+    eta so callers can release them one at a time.
     Raises DomainError when a layout yields a non-finite SINR.
     """
     config.validate()
@@ -190,23 +162,22 @@ def monte_carlo_sweep(config: ExperimentConfig,
                                path_gain_constant=config.path_gain_k,
                                tx_power=config.tx_power_w,
                                thermal_noise=config.noise_w) for eta in etas]
-    region = experiment_region(config, model_kind)
+    if model_kind is ModelKind.HEXAGONAL:
+        hexagonal = generate_hexagonal(r, config.rings, seed=config.seed, fill_region=True)
+        region, runs = hexagonal.region, 1
+    else:
+        region, runs = region_for_expected_count(r, config.expected_stations), config.runs
     users = draw_user_set(region, config.users, config.seed,
                           exclusion_radius=config.exclusion * r)
     density = hexagonal_density(r)
 
     n = config.users
-    samples = [np.empty(config.runs * n) for _ in etas]
-    hex_layout = None
-    for k in range(1, config.runs + 1):
+    samples = [np.empty(runs * n) for _ in etas]
+    for k in range(1, runs + 1):
         if model_kind is ModelKind.HEXAGONAL:
-            if hex_layout is None:
-                hex_layout = generate_hexagonal(r, config.rings, seed=config.seed,
-                                                fill_region=True)
-            layout = hex_layout
+            layout = hexagonal
         else:
-            layout = generate_poisson(region, density, child_seed(config.seed, k),
-                                      half_isd=r)
+            layout = generate_poisson(region, density, child_seed(config.seed, k))
         field = sinr_field(layout, models, users)
         finite = np.isfinite(field).all(axis=1)
         if not finite.all():
@@ -214,16 +185,12 @@ def monte_carlo_sweep(config: ExperimentConfig,
             raise DomainError(f"non-finite SINR at eta={eta:g} in layout {k}")
         for eta_samples, row in zip(samples, field):
             eta_samples[(k - 1) * n:k * n] = row
-    return {eta: SinrSampleSet(samples=s, eta=eta, runs=config.runs, users=n,
-                               layout_model=model_kind, config_digest=config.digest(),
-                               seed=config.seed)
-            for eta, s in zip(etas, samples)}
+    return dict(zip(etas, samples))
 
 
 def run_monte_carlo(config: ExperimentConfig, eta: float,
-                    model_kind: ModelKind = ModelKind.POISSON) -> SinrSampleSet:
-    """Monte Carlo SINR experiment for one path-loss exponent (see monte_carlo_sweep)."""
+                    model_kind: ModelKind = ModelKind.POISSON) -> np.ndarray:
+    """Linear SINR samples for one path-loss exponent (see monte_carlo_sweep)."""
     if eta <= 2:
         raise DomainError("path loss exponent must exceed 2")
-    samples = monte_carlo_sweep(replace(config, eta_list=(eta,)), model_kind)[eta]
-    return replace(samples, config_digest=config.digest())
+    return monte_carlo_sweep(replace(config, eta_list=(eta,)), model_kind)[eta]

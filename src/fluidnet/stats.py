@@ -73,23 +73,11 @@ class EmpiricalCdf:
 
 
 def empirical_cdf(samples) -> EmpiricalCdf:
-    """CDF of pooled SINR samples, on the dB scale.
-
-    Accepts a SinrSampleSet or any array of linear SINR values.
-    """
-    linear = np.asarray(getattr(samples, "samples", samples), dtype=float)
+    """CDF of an array of linear SINR samples, on the dB scale."""
+    linear = np.asarray(samples, dtype=float)
     if linear.size == 0:
         raise EmptySample("no SINR samples")
     return EmpiricalCdf(10.0 * np.log10(linear))
-
-
-def quantile(cdf: EmpiricalCdf, p: float):
-    return cdf.quantile(p)
-
-
-def outage_probability(cdf, threshold_db: float):
-    """Probability that the SINR falls at or below the service threshold."""
-    return cdf.evaluate(threshold_db)
 
 
 def mean_horizontal_shift(reference, target, p_grid=DEFAULT_P_GRID) -> float:

@@ -5,14 +5,14 @@ Each check prints one pass/fail line (run with -s to see them on success).
 
 import filecmp
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fluidnet.cli import main
-from fluidnet.config import DEFAULT_ETAS, ExperimentConfig
-from fluidnet.experiment import (correlation_for, fluid_cdf_for,
-                                 hexagonal_cdf_for)
+from fluidnet.config import DEFAULT_ETAS
+from fluidnet.experiment import correlation_for, fluid_cdf_for, monte_carlo_cdfs
 from fluidnet.fluid import FluidModel, average_cell_throughput, fluid_cdf, fluid_sinr
 from fluidnet.geometry import Point, TorusRegion, torus_distance
 from fluidnet.placement import ModelKind, NetworkLayout
@@ -133,7 +133,8 @@ class TestCriterion5DensityInvariance:
 class TestCriterion6Hexagonal:
     def test_hex_median_gap(self, full_config):
         fluid = fluid_cdf_for(full_config, 3.0)
-        hexagonal = hexagonal_cdf_for(full_config, 3.0)
+        hexagonal = monte_carlo_cdfs(replace(full_config, eta_list=(3.0,)),
+                                     ModelKind.HEXAGONAL)[3.0]
         gap = abs(fluid.quantile(0.5) - hexagonal.quantile(0.5))
         report("criterion 6", gap <= 1.0,
                f"fluid-vs-hexagonal median gap {gap:.3f} dB (want <=1.0)")
@@ -162,8 +163,7 @@ class TestCriterion7Oracles:
         for _ in range(50):
             pts = rng.random((5, 2)) * 10.0
             layout = NetworkLayout(region=region, stations=pts,
-                                   model=ModelKind.POISSON, density=0.05,
-                                   seed=0, half_isd=1.0)
+                                   model=ModelKind.POISSON, density=0.05, seed=0)
             u = Point(*(rng.random(2) * 10.0))
             m = PropagationModel(3.3)
             dists = np.array([torus_distance(region, u, Point(*s)) for s in pts])

@@ -120,8 +120,11 @@ class TestCli:
         assert main(["fit", "--eta", "3.0", "--out", str(tmp_path)]) == 2
 
     def test_invalid_eta_exits_2(self, tmp_path):
-        assert main(["cdf", "--model", "fluid", "--eta", "1.5",
-                     "--out", str(tmp_path)]) == 2
+        # an empty --eta is rejected, not read as "use the default eta list"
+        for eta in ("1.5", ""):
+            assert main(["cdf", "--model", "fluid", "--eta", eta,
+                         "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_nan_density_scale_exits_2(self, tmp_path):
         assert main(["cdf", "--model", "poisson", "--density-scale", "nan",
@@ -130,6 +133,26 @@ class TestCli:
     def test_bad_outage_thresholds_exit_2(self, tmp_path):
         assert main(["report", "--eta", "2.8,3.0", "--outage-thresholds", "abc",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, kind, capsys):
+        path = tmp_path / "exp.conf"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"runs = 3\n# caf\xe9\n")
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_out_names_a_file_exits_2(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        assert main(["cdf", "--model", "fluid", "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert afile.read_text() == "keep\n"
 
     def test_tiny_expected_stations_exits_3(self, tmp_path):
         # no layout reaches 2 stations: the bounded redraw gives up instead of hanging
@@ -223,18 +246,3 @@ class TestCli:
                      "--eta", "3.0", "--out", str(out)]) == 0
         assert (out / "cdf_poisson_eta3.csv").exists()
         assert not (out / "cdf_poisson_eta2.8.csv").exists()
-
-    def test_samples_export_format(self, tmp_path):
-        from fluidnet.config import ExperimentConfig
-        from fluidnet.io import write_samples_csv
-        from fluidnet.sinr import run_monte_carlo
-        cfg = ExperimentConfig(runs=2, users=5, eta_list=(3.0,))
-        s = run_monte_carlo(cfg, 3.0)
-        path = tmp_path / "samples.csv"
-        write_samples_csv(s, path)
-        header, rows = read_rows(path)
-        assert header == ["run", "ue_id", "sinr_linear", "sinr_db"]
-        assert len(rows) == 10
-        assert rows[0][0] == "1" and rows[-1][0] == "2"
-        lin, db = float(rows[3][2]), float(rows[3][3])
-        assert db == pytest.approx(10 * np.log10(lin), rel=1e-12)

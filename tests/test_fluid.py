@@ -165,7 +165,7 @@ class TestFluidCdf:
 
     def test_shift_moves_curve(self):
         base = FluidCdf(model(3.0), 0.01)
-        shifted = base.shifted(2.0)
+        shifted = FluidCdf(model(3.0), 0.01, shift_db=2.0)
         assert shifted.quantile(0.5) == pytest.approx(base.quantile(0.5) - 2.0)
 
     def test_mean_cell_radius(self):
@@ -207,7 +207,7 @@ class TestThroughput:
         eps = 0.01
         rng = np.random.default_rng(47)
         r = np.sqrt(eps**2 + rng.random(1_000_000) * (1 - eps**2))
-        mc = np.mean([math.log2(1 + fluid_sinr(m, ri)) for ri in r])
+        mc = np.mean(np.log2(1 + fluid_sinr(m, r)))
         assert average_cell_throughput(m, eps) == pytest.approx(mc, rel=3e-3)
 
     @pytest.mark.parametrize("eta", [2.05, 3.0, 4.2, 6.0])

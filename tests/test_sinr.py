@@ -1,5 +1,5 @@
 import importlib
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from fluidnet import parallel
 from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError, NoInterference, NonPositiveDistance
-from fluidnet.experiment import fluid_cdf_for
 from fluidnet.geometry import Point, TorusRegion, torus_distance
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
 from fluidnet.sinr import (PropagationModel, UserSet, best_server, monte_carlo_sweep,
@@ -20,7 +19,7 @@ SINR_MODULE = importlib.import_module("fluidnet.sinr")
 def make_layout(stations, width=10.0, height=10.0):
     return NetworkLayout(region=TorusRegion(width, height),
                          stations=np.asarray(stations, dtype=float),
-                         model=ModelKind.POISSON, density=1.0, seed=0, half_isd=1.0)
+                         model=ModelKind.POISSON, density=1.0, seed=0)
 
 
 class TestPathGain:
@@ -140,8 +139,8 @@ class TestSinrField:
         layout = make_layout(rng.random((10, 2)) * 10.0)
         ue = rng.random((20, 2)) * 10.0
         m = PropagationModel(3.1)
-        users = UserSet(points=ue, seed=0, exclusion_radius=1e-9)
-        field = sinr_field(layout, m, users)
+        users = UserSet(points=ue, exclusion_radius=1e-9)
+        field = sinr_field(layout, [m], users)[0]
         for i, (x, y) in enumerate(ue):
             assert field[i] == pytest.approx(sinr(layout, m, Point(x, y)), rel=1e-12)
 
@@ -149,8 +148,8 @@ class TestSinrField:
         layout = make_layout([[5, 5], [1, 1], [9, 9]])
         m = PropagationModel(3.0)
         ue = np.array([[5.0, 5.0], [5.0001, 5.0]])  # on top of / nearly on a station
-        users = UserSet(points=ue, seed=0, exclusion_radius=0.01)
-        field = sinr_field(layout, m, users)
+        users = UserSet(points=ue, exclusion_radius=0.01)
+        field = sinr_field(layout, [m], users)[0]
         clamped = sinr(layout, m, Point(5.01, 5.0))
         assert field[0] == pytest.approx(clamped, rel=1e-9)
         assert np.all(np.isfinite(field))
@@ -158,19 +157,19 @@ class TestSinrField:
     def test_model_sequence_rows_match_single_model(self):
         rng = np.random.default_rng(31)
         layout = make_layout(rng.random((12, 2)) * 10.0)
-        users = UserSet(points=rng.random((40, 2)) * 10.0, seed=0, exclusion_radius=0.3)
+        users = UserSet(points=rng.random((40, 2)) * 10.0, exclusion_radius=0.3)
         models = [PropagationModel(2.4), PropagationModel(3.3, path_gain_constant=2.0),
                   PropagationModel(4.1, tx_power=0.5, thermal_noise=1e-6)]
         field = sinr_field(layout, models, users)
         assert field.shape == (3, 40)
         for row, m in zip(field, models):
-            assert np.array_equal(row, sinr_field(layout, m, users))
+            assert np.array_equal(row, sinr_field(layout, [m], users)[0])
 
     def test_independent_of_worker_count(self, worker_count):
         # row blocks decide only which thread computes a row, never its arithmetic
         rng = np.random.default_rng(37)
         layout = make_layout(rng.random((50, 2)) * 10.0)
-        users = UserSet(points=rng.random((2001, 2)) * 10.0, seed=0, exclusion_radius=0.2)
+        users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
         models = [PropagationModel(2.4), PropagationModel(3.3, path_gain_constant=2.0),
                   PropagationModel(4.1, tx_power=0.5, thermal_noise=1e-6)]
         assert 2001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
@@ -186,14 +185,13 @@ class TestMonteCarlo:
         cfg = ExperimentConfig(runs=2, users=50, eta_list=(3.0,), seed=12)
         a = run_monte_carlo(cfg, 3.0)
         b = run_monte_carlo(cfg, 3.0)
-        assert np.array_equal(a.samples, b.samples)
-        assert a.config_digest == b.config_digest
+        assert np.array_equal(a, b)
 
     def test_sample_count_and_positivity(self):
         cfg = ExperimentConfig(runs=3, users=40, eta_list=(2.6,))
         s = run_monte_carlo(cfg, 2.6)
-        assert s.samples.shape == (120,)
-        assert np.all(s.samples > 0)
+        assert s.shape == (120,)
+        assert np.all(s > 0)
 
     def test_hexagonal_run_matches_direct_summation(self):
         cfg = ExperimentConfig(runs=1, users=30, eta_list=(3.0,), rings=2)
@@ -213,14 +211,14 @@ class TestMonteCarlo:
             gains = dists ** -3.0
             k = int(np.argmin(dists))
             expected = gains[k] / (gains.sum() - gains[k])
-            assert s.samples[i] == pytest.approx(expected, rel=1e-12)
+            assert s[i] == pytest.approx(expected, rel=1e-12)
 
     def test_poisson_below_fluid_median(self):
         cfg = ExperimentConfig(runs=100, users=2000, eta_list=(3.0,), seed=3)
         s = run_monte_carlo(cfg, 3.0)
         from fluidnet.fluid import FluidCdf, FluidModel
         fluid_median = FluidCdf(FluidModel(half_isd=1.0, eta=3.0), 0.01).quantile(0.5)
-        gap = fluid_median - s.db().mean()
+        gap = fluid_median - (10.0 * np.log10(s)).mean()
         assert 2.0 < gap < 5.0
 
     def test_sweep_draws_and_measures_each_layout_once(self, monkeypatch):
@@ -260,10 +258,29 @@ class TestMonteCarlo:
     def test_sweep_matches_one_eta_runs(self, kind):
         cfg = ExperimentConfig(runs=3, users=50, eta_list=(2.3, 3.0, 4.5), seed=21)
         sweep = monte_carlo_sweep(cfg, kind)
+        # the hexagonal lattice is deterministic: measured once whatever runs is
+        samples = 50 if kind is ModelKind.HEXAGONAL else 150
         for eta in cfg.eta_list:
             single = run_monte_carlo(cfg, eta, kind)
-            assert np.array_equal(sweep[eta].samples, single.samples)
-            assert sweep[eta].samples.shape == (150,)
+            assert np.array_equal(sweep[eta], single)
+            assert sweep[eta].shape == (samples,)
+
+    def test_hexagonal_sweep_measures_the_lattice_once(self, monkeypatch):
+        generate = SINR_MODULE.generate_hexagonal
+        calls = []
+
+        def counted_generate(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(SINR_MODULE, "generate_hexagonal", counted_generate)
+        cfg = ExperimentConfig(runs=3, users=40, eta_list=(2.6, 3.4), seed=5)
+        sweep = monte_carlo_sweep(cfg, ModelKind.HEXAGONAL)
+        assert len(calls) == 1
+        one_run = monte_carlo_sweep(replace(cfg, runs=1), ModelKind.HEXAGONAL)
+        for eta in cfg.eta_list:
+            assert sweep[eta].shape == (cfg.users,)
+            assert np.array_equal(sweep[eta], one_run[eta])
 
     def test_invalid_eta(self):
         cfg = ExperimentConfig(runs=1, users=10, eta_list=(3.0,))

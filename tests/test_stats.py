@@ -5,7 +5,7 @@ from fluidnet.errors import DegenerateFit, DomainError, EmptySample, ZeroVarianc
 from fluidnet.fluid import FluidCdf, FluidModel
 from fluidnet.stats import (EmpiricalCdf, FitCoefficients, cdf_curve_correlation,
                             correlation_coefficient, empirical_cdf, fit_linear,
-                            mean_horizontal_shift, outage_probability, quantile)
+                            mean_horizontal_shift)
 
 
 class TestEmpiricalCdf:
@@ -38,11 +38,11 @@ class TestEmpiricalCdf:
 class TestQuantile:
     def test_midpoint_interpolation(self):
         cdf = EmpiricalCdf([0.0, 10.0])
-        assert quantile(cdf, 0.5) == pytest.approx(5.0)
+        assert cdf.quantile(0.5) == pytest.approx(5.0)
 
     def test_interpolated_position(self):
         cdf = EmpiricalCdf(np.arange(100.0))
-        assert quantile(cdf, 0.05) == pytest.approx(4.95)
+        assert cdf.quantile(0.05) == pytest.approx(4.95)
 
     def test_order_statistics_round_trip(self):
         # quantile at grid position i/(n-1) returns the i-th order statistic
@@ -50,7 +50,7 @@ class TestQuantile:
         cdf = EmpiricalCdf(values)
         n = values.size
         for i in range(1, n - 1):
-            assert quantile(cdf, i / (n - 1)) == pytest.approx(values[i], abs=1e-12)
+            assert cdf.quantile(i / (n - 1)) == pytest.approx(values[i], abs=1e-12)
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(3)
@@ -63,18 +63,18 @@ class TestQuantile:
         cdf = EmpiricalCdf([1.0, 2.0])
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
-                quantile(cdf, p)
+                cdf.quantile(p)
 
 
 class TestOutage:
     def test_bounds(self):
         cdf = EmpiricalCdf(np.arange(1.0, 101.0))
-        assert outage_probability(cdf, 0.5) == 0.0
-        assert outage_probability(cdf, 1000.0) == 1.0
+        assert cdf.evaluate(0.5) == 0.0
+        assert cdf.evaluate(1000.0) == 1.0
 
     def test_counting(self):
         cdf = EmpiricalCdf(np.arange(1.0, 101.0))
-        assert outage_probability(cdf, 5.0) == pytest.approx(0.05)
+        assert cdf.evaluate(5.0) == pytest.approx(0.05)
 
 
 class TestMeanHorizontalShift:
@@ -92,7 +92,7 @@ class TestMeanHorizontalShift:
 
     def test_works_with_analytic_reference(self):
         fluid = FluidCdf(FluidModel(half_isd=1.0, eta=3.0), 0.01)
-        shifted = fluid.shifted(2.0)
+        shifted = FluidCdf(FluidModel(half_isd=1.0, eta=3.0), 0.01, shift_db=2.0)
         assert mean_horizontal_shift(fluid, shifted) == pytest.approx(2.0, abs=1e-9)
 
     def test_invalid_grid(self):
