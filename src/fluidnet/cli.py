@@ -86,7 +86,21 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def _out_dir(args) -> Path:
+    """The --out path, checked before any work: it, or else its nearest
+    existing parent, must be a directory. Nothing is created yet."""
     out = Path(args.out)
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        is_dir = existing.is_dir()
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    if not is_dir:
+        raise ConfigError(f"cannot create output directory {out}: {existing} is not a directory")
+    return out
+
+
+def _make_dir(out: Path) -> Path:
+    """Create the checked --out directory once there is something to write."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -103,7 +117,7 @@ def cmd_generate(args) -> int:
     else:
         region = region_for_expected_count(r, config.expected_stations)
         layout = generate_poisson(region, hexagonal_density(r), config.seed)
-    path = out / "layout_0.csv"
+    path = _make_dir(out) / "layout_0.csv"
     write_layout_csv(layout, path, digest=config.digest())
     _log(f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
     return 0
@@ -131,7 +145,9 @@ def _write_cdfs(config, out: Path, model: str, cdfs: dict, **extra_comments):
 
 def cmd_cdf(args) -> int:
     config = config_from_args(args)
-    _write_cdfs(config, _out_dir(args), args.model, _cdfs(config, args.model))
+    out = _out_dir(args)
+    cdfs = _cdfs(config, args.model)
+    _write_cdfs(config, _make_dir(out), args.model, cdfs)
     return 0
 
 
@@ -142,7 +158,7 @@ def _fit_shifts(args, config):
     out = _out_dir(args)
     poisson_cdfs = _cdfs(config, "poisson")
     shift_fit = fit_shift_law(config, poisson_cdfs)
-    write_fit_report_csv(shift_fit, out / "fit.csv",
+    write_fit_report_csv(shift_fit, _make_dir(out) / "fit.csv",
                          {"digest": config.digest(), "seed": config.seed})
     coeff = shift_fit.coefficients
     _write_cdfs(config, out, "poisson", poisson_cdfs)
@@ -168,26 +184,25 @@ def cmd_report(args) -> int:
     _write_cdfs(config, out, "fluid", fluid_cdfs)
     _write_cdfs(config, out, "hex", _cdfs(config, "hex"))
 
-    corr_rows = [(eta, correlation_for(config, eta, poisson_cdfs[eta]))
-                 for eta in config.eta_list]
-    write_csv(out / "correlation.csv", ["eta", "zeta"], corr_rows, {"digest": digest})
+    etas = config.eta_list
+    zetas = [correlation_for(config, eta, poisson_cdfs[eta]) for eta in etas]
+    write_csv(out / "correlation.csv", ["eta", "zeta"], [etas, zetas], {"digest": digest})
 
-    outage_rows = []
-    for eta in config.eta_list:
-        fitted = fluid_cdf_for(config, eta, CANONICAL_FIT.shift_db(eta))
-        columns = [cdf.evaluate(thresholds)
-                   for cdf in (poisson_cdfs[eta], fluid_cdfs[eta], fitted)]
-        outage_rows += [(eta, *row) for row in zip(thresholds, *columns)]
+    outage = [[cdf.evaluate(thresholds)
+               for cdf in (poisson_cdfs[eta], fluid_cdfs[eta],
+                           fluid_cdf_for(config, eta, CANONICAL_FIT.shift_db(eta)))]
+              for eta in etas]
     write_csv(out / "outage.csv",
               ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
-              outage_rows, {"digest": digest})
+              [np.repeat(etas, thresholds.size), np.tile(thresholds, len(etas)),
+               *(np.concatenate(column) for column in zip(*outage))], {"digest": digest})
 
-    tp_rows = [(s.eta, s.cell_edge_bps_hz, s.cell_average_bps_hz)
-               for s in (throughput_for(config, eta) for eta in config.eta_list)]
+    throughput = [throughput_for(config, eta) for eta in etas]
     write_csv(out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
-              tp_rows, {"digest": digest})
+              [etas, [s.cell_edge_bps_hz for s in throughput],
+               [s.cell_average_bps_hz for s in throughput]], {"digest": digest})
 
-    for eta in config.eta_list:
+    for eta in etas:
         write_fluid_curve_csv(fluid_model_for(config, eta),
                               out / f"fluid_curve_eta{_eta_label(eta)}.csv",
                               exclusion=config.exclusion,
@@ -202,7 +217,7 @@ def cmd_report(args) -> int:
         fh.write(f"\nshift fit: a={coeff.a!r} b={coeff.b!r} "
                  f"rms={shift_fit.rms_residual_db!r} dB\n")
         fh.write("\neta  shift_db  zeta(fitted vs poisson)\n")
-        for (eta, shift), (_, zeta) in zip(zip(shift_fit.etas, shift_fit.shifts_db), corr_rows):
+        for eta, shift, zeta in zip(shift_fit.etas, shift_fit.shifts_db, zetas):
             fh.write(f"  {eta:g}  {shift:.4f}  {zeta:.5f}\n")
     _log(f"report: written to {out}")
     return 0

@@ -17,15 +17,20 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows, comments=None, footer_comments=None):
+def write_csv(path, header, columns, comments=None, footer_comments=None):
+    """One CSV file from equal-length, single-dtype columns.
+
+    Each column becomes Python scalars once (`tolist`), so a float prints
+    as `repr(float)` and an integer as `str(int)`, as `fmt` prints them.
+    A ragged table raises ValueError before the file is opened.
+    """
+    cols = [map(repr, np.asarray(col).tolist()) for col in columns]
+    lines = [*(f"# {key}={fmt(value)}" for key, value in (comments or {}).items()),
+             ",".join(header),
+             *map(",".join, zip(*cols, strict=True)),
+             *(f"# {key}={fmt(value)}" for key, value in (footer_comments or {}).items())]
     with open(path, "w", newline="\n") as fh:
-        for key, value in (comments or {}).items():
-            fh.write(f"# {key}={fmt(value)}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-        for key, value in (footer_comments or {}).items():
-            fh.write(f"# {key}={fmt(value)}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_layout_csv(layout, path, digest=None):
@@ -38,13 +43,15 @@ def write_layout_csv(layout, path, digest=None):
     }
     if digest is not None:
         comments["digest"] = digest
-    rows = ((i, x, y) for i, (x, y) in enumerate(layout.stations))
-    write_csv(path, ["bs_id", "x", "y"], rows, comments)
+    stations = layout.stations
+    write_csv(path, ["bs_id", "x", "y"],
+              [np.arange(len(stations)), stations[:, 0], stations[:, 1]], comments)
 
 
 def write_cdf_csv(path, sinr_db, probability, comments):
-    rows = zip(np.asarray(sinr_db, dtype=float), np.asarray(probability, dtype=float))
-    write_csv(path, ["sinr_db", "probability"], rows, comments)
+    write_csv(path, ["sinr_db", "probability"],
+              [np.asarray(sinr_db, dtype=float), np.asarray(probability, dtype=float)],
+              comments)
 
 
 def write_fluid_curve_csv(model, path, n_points=512, exclusion=0.01, comments=None):
@@ -55,17 +62,15 @@ def write_fluid_curve_csv(model, path, n_points=512, exclusion=0.01, comments=No
     """
     x = np.geomspace(exclusion, 1.0, n_points)
     gamma = fluid_sinr(model, x * model.half_isd)
-    rows = zip(x, 10.0 * np.log10(gamma), (1 - x**2) / (1 - exclusion**2),
-               spectral_efficiency(gamma))
-    write_csv(path, ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"], rows, comments)
+    write_csv(path, ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"],
+              [x, 10.0 * np.log10(gamma), (1 - x**2) / (1 - exclusion**2),
+               spectral_efficiency(gamma)], comments)
 
 
 def write_fit_report_csv(shift_fit, path, comments):
     coeff = shift_fit.coefficients
-    rows = []
-    for eta, shift in zip(shift_fit.etas, shift_fit.shifts_db):
-        predicted = coeff.shift_db(eta)
-        rows.append((eta, shift, predicted, shift - predicted))
-    write_csv(path, ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"], rows,
-              comments, footer_comments={"a": coeff.a, "b": coeff.b,
-                                         "rms": shift_fit.rms_residual_db})
+    predicted = [coeff.shift_db(eta) for eta in shift_fit.etas]
+    residual = [shift - pred for shift, pred in zip(shift_fit.shifts_db, predicted)]
+    write_csv(path, ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
+              [shift_fit.etas, shift_fit.shifts_db, predicted, residual], comments,
+              footer_comments={"a": coeff.a, "b": coeff.b, "rms": shift_fit.rms_residual_db})

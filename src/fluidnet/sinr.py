@@ -139,7 +139,10 @@ def sinr_field(layout: NetworkLayout, models: Sequence[PropagationModel],
             interference = m.tx_power * (g.sum(axis=1) - gbest)
             np.divide(signal, interference + m.thermal_noise, out=sinr_row[rows])
 
-    map_row_blocks(reduce_rows, len(ue))
+    # a zero interference or an overflow gives a non-finite SINR, for which
+    # monte_carlo_sweep raises DomainError; numpy's warning would only precede it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        map_row_blocks(reduce_rows, len(ue))
     return out
 
 

@@ -56,6 +56,9 @@ class EmpiricalCdf:
         values = np.sort(np.asarray(values_db, dtype=float).ravel())
         if values.size == 0:
             raise EmptySample("cannot build a CDF from an empty sample")
+        # NaN and +inf sort to the end, -inf to the start
+        if not (np.isfinite(values[0]) and np.isfinite(values[-1])):
+            raise DomainError("CDF samples must be finite")
         self.sorted_values_db = values
         self.n = values.size
 
@@ -65,11 +68,22 @@ class EmpiricalCdf:
                                side="right") / self.n
 
     def quantile(self, p):
-        """Linear interpolation of order statistics at position p*(n-1)."""
+        """Linear interpolation of order statistics at position p*(n-1).
+
+        numpy's "linear" quantile method written out on the sorted sample,
+        with the same two-sided lerp, so it is bit-identical to np.quantile
+        without np.quantile's partition of a copy.
+        """
         parr = np.asarray(p, dtype=float)
         if np.any((parr <= 0) | (parr >= 1)):
             raise DomainError("p must lie in (0, 1)")
-        return np.quantile(self.sorted_values_db, parr)
+        values = self.sorted_values_db
+        x = (self.n - 1) * parr
+        lo = np.floor(x).astype(np.intp)
+        t = x - lo
+        a, b = values[lo], values[np.minimum(lo + 1, self.n - 1)]
+        d = b - a
+        return np.where(t >= 0.5, b - d * (1 - t), a + d * t)[()]
 
 
 def empirical_cdf(samples) -> EmpiricalCdf:

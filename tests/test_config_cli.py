@@ -154,6 +154,14 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert afile.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+    def test_out_file_refused_before_simulating(self, tmp_path, monkeypatch, sub):
+        # the directory is made only after the Monte Carlo, but a bad --out fails first
+        monkeypatch.setattr("fluidnet.cli._cdfs", lambda *a: pytest.fail("simulated"))
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        assert main(["cdf", "--model", "hex", "--out", str(afile / sub)]) == 2
+
     def test_tiny_expected_stations_exits_3(self, tmp_path):
         # no layout reaches 2 stations: the bounded redraw gives up instead of hanging
         conf = tmp_path / "tiny.conf"
@@ -169,10 +177,23 @@ class TestCli:
         ["--model", "hex", "--eta", "20", "--users", "50"],
         ["--model", "poisson", "--eta", "40", "--runs", "1", "--users", "50"],
     ], ids=["hex", "poisson"])
-    def test_non_finite_sinr_exits_3(self, tmp_path, args, capsys):
-        assert main(["cdf", *args, "--out", str(tmp_path)]) == 3
-        assert f"eta={args[3]}" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+    def test_non_finite_sinr_exits_3(self, tmp_path, args):
+        # stderr holds the error line alone, with no numpy warning before it, and
+        # the failed run leaves no --out directory behind
+        out = tmp_path / "o2"
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "fluidnet.cli", "cdf", *args,
+                                 "--out", str(out)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3
+        assert result.stderr == f"error: non-finite SINR at eta={args[3]} in layout 1\n"
+        assert not out.exists()
+
+    def test_failed_fit_leaves_no_out_dir(self, tmp_path):
+        out = tmp_path / "o3"
+        assert main(["fit", "--eta", "20,30", "--runs", "1", "--users", "50",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
         assert main(["report", "--eta", "2.3,3.0,5.5", "--runs", "1", "--users", "50",

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from fluidnet.cli import _CDF_P_GRID
 from fluidnet.errors import DegenerateFit, DomainError, EmptySample, ZeroVariance
 from fluidnet.fluid import FluidCdf, FluidModel
-from fluidnet.stats import (EmpiricalCdf, FitCoefficients, cdf_curve_correlation,
-                            correlation_coefficient, empirical_cdf, fit_linear,
-                            mean_horizontal_shift)
+from fluidnet.stats import (DEFAULT_P_GRID, EmpiricalCdf, FitCoefficients,
+                            cdf_curve_correlation, correlation_coefficient, empirical_cdf,
+                            fit_linear, mean_horizontal_shift)
 
 
 class TestEmpiricalCdf:
@@ -29,6 +30,13 @@ class TestEmpiricalCdf:
             EmpiricalCdf([])
         with pytest.raises(EmptySample):
             empirical_cdf(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # np.quantile would return NaN for a NaN sample; the CDF refuses it instead
+        for values in ([1.0, bad, 2.0], [bad]):
+            with pytest.raises(DomainError):
+                EmpiricalCdf(values)
 
     def test_from_linear_samples(self):
         cdf = empirical_cdf(np.array([1.0, 10.0, 100.0]))
@@ -58,6 +66,21 @@ class TestQuantile:
         ps = np.sort(rng.random(50) * 0.98 + 0.01)
         qs = cdf.quantile(ps)
         assert np.all(np.diff(qs) >= 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 500, 1000, 12345, 100000, 200000])
+    def test_bit_identical_to_numpy(self, n):
+        # the direct lerp on the sorted sample must give np.quantile's exact bits
+        rng = np.random.default_rng(n)
+        cdf = empirical_cdf(rng.exponential(size=n))
+        for p in (_CDF_P_GRID, np.array(DEFAULT_P_GRID), 0.01, 0.99, rng.random(1000)):
+            expected = np.quantile(cdf.sorted_values_db, p)
+            got = cdf.quantile(p)
+            assert np.shape(got) == np.shape(expected)
+            assert np.array_equal(got, expected)
+
+    def test_scalar_p_gives_scalar(self):
+        q = EmpiricalCdf([0.0, 10.0, 30.0]).quantile(0.75)
+        assert np.ndim(q) == 0 and float(q) == 20.0
 
     def test_domain(self):
         cdf = EmpiricalCdf([1.0, 2.0])
