@@ -2,8 +2,8 @@
 
 from .config import ExperimentConfig
 from .fluid import (FluidCdf, FluidModel, average_cell_throughput,
-                    cell_edge_throughput, fitted_sinr_db, fluid_cdf, fluid_sinr,
-                    normalized_sinr, spectral_efficiency)
+                    cell_edge_throughput, fluid_sinr, normalized_sinr,
+                    spectral_efficiency)
 from .geometry import Point, TorusRegion, torus_distance
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
                         generate_poisson, hexagonal_density,
@@ -22,7 +22,7 @@ __all__ = [
     "PropagationModel", "ShiftFit", "TorusRegion", "UserSet",
     "average_cell_throughput", "best_server", "cdf_curve_correlation",
     "cell_edge_throughput", "correlation_coefficient", "empirical_cdf",
-    "fit_linear", "fitted_sinr_db", "fluid_cdf", "fluid_sinr",
+    "fit_linear", "fluid_sinr",
     "generate_hexagonal", "generate_poisson", "hexagonal_density",
     "mean_horizontal_shift", "monte_carlo_sweep", "normalized_sinr", "path_gain",
     "region_for_expected_count", "run_monte_carlo", "sinr", "sinr_field",

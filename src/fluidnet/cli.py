@@ -82,7 +82,11 @@ def config_from_args(args) -> ExperimentConfig:
             overrides[key] = value
     if getattr(args, "eta", None) is not None:
         overrides["eta_list"] = parse_float_list(args.eta)
-    return config_from_mapping(overrides, cfg)
+    config = config_from_mapping(overrides, cfg)
+    labels = [_eta_label(eta) for eta in config.eta_list]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"eta values must differ in file label, got {','.join(labels)}")
+    return config
 
 
 def _out_dir(args) -> Path:
@@ -118,7 +122,7 @@ def cmd_generate(args) -> int:
         region = region_for_expected_count(r, config.expected_stations)
         layout = generate_poisson(region, hexagonal_density(r), config.seed)
     path = _make_dir(out) / "layout_0.csv"
-    write_layout_csv(layout, path, digest=config.digest())
+    write_layout_csv(layout, path, config.digest())
     _log(f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
     return 0
 
@@ -197,15 +201,12 @@ def cmd_report(args) -> int:
               [np.repeat(etas, thresholds.size), np.tile(thresholds, len(etas)),
                *(np.concatenate(column) for column in zip(*outage))], {"digest": digest})
 
-    throughput = [throughput_for(config, eta) for eta in etas]
     write_csv(out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
-              [etas, [s.cell_edge_bps_hz for s in throughput],
-               [s.cell_average_bps_hz for s in throughput]], {"digest": digest})
+              [etas, *zip(*(throughput_for(config, eta) for eta in etas))], {"digest": digest})
 
     for eta in etas:
         write_fluid_curve_csv(fluid_model_for(config, eta),
-                              out / f"fluid_curve_eta{_eta_label(eta)}.csv",
-                              exclusion=config.exclusion,
+                              out / f"fluid_curve_eta{_eta_label(eta)}.csv", config.exclusion,
                               comments={"digest": digest, "eta": eta})
 
     coeff = shift_fit.coefficients
@@ -230,12 +231,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a non-finite result raises DomainError where it is checked; numpy's
+        # overflow warning would only precede it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         _log(f"error: {exc}")
         return 2
-    except FluidNetError as exc:
-        _log(f"error: {exc}")
+    except (FluidNetError, MemoryError) as exc:
+        _log(f"error: {str(exc) or 'out of memory'}")
         return 3
 
 

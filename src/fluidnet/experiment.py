@@ -7,10 +7,7 @@ horizontal CDF offset, and fit it as a line in the path-loss exponent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import ExperimentConfig
-from .errors import ConfigError
 from .fluid import (FluidCdf, FluidModel, average_cell_throughput,
                     cell_edge_throughput, mean_cell_radius)
 from .placement import ModelKind
@@ -45,38 +42,21 @@ def monte_carlo_cdfs(config: ExperimentConfig,
     return {eta: empirical_cdf(samples.pop(eta)) for eta in list(samples)}
 
 
-def measure_shift(config: ExperimentConfig, eta: float, poisson: EmpiricalCdf) -> float:
-    """Mean dB offset of the fluid CDF to the right of the Poisson CDF."""
-    return mean_horizontal_shift(fluid_cdf_for(config, eta), poisson)
+def fit_shift_law(config: ExperimentConfig, poisson_cdfs: dict) -> ShiftFit:
+    """Fit shift = a*eta + b across config.eta_list, where each eta's shift is
+    the mean dB offset of the fluid CDF to the right of the Poisson CDF."""
+    shifts = [mean_horizontal_shift(fluid_cdf_for(config, eta), poisson_cdfs[eta])
+              for eta in config.eta_list]
+    return fit_linear(config.eta_list, shifts)
 
 
-def fit_shift_law(config: ExperimentConfig,
-                  poisson_cdfs: dict | None = None) -> ShiftFit:
-    """Measure per-eta shifts and fit shift = a*eta + b across config.eta_list."""
-    if len(config.eta_list) < 2:
-        raise ConfigError("shift fitting needs at least 2 eta values")
-    etas = list(config.eta_list)
-    cdfs = poisson_cdfs if poisson_cdfs is not None else monte_carlo_cdfs(config)
-    shifts = [measure_shift(config, eta, cdfs[eta]) for eta in etas]
-    return fit_linear(etas, shifts)
-
-
-def correlation_for(config: ExperimentConfig, eta: float, poisson: EmpiricalCdf,
-                    fit=CANONICAL_FIT) -> float:
-    """Correlation between the fitted-fluid and Poisson CDF curves at one eta."""
-    fitted = fluid_cdf_for(config, eta, shift_db=fit.shift_db(eta))
+def correlation_for(config: ExperimentConfig, eta: float, poisson: EmpiricalCdf) -> float:
+    """Correlation between the canonically fitted fluid and Poisson CDF curves at one eta."""
+    fitted = fluid_cdf_for(config, eta, shift_db=CANONICAL_FIT.shift_db(eta))
     return cdf_curve_correlation(fitted, poisson)
 
 
-@dataclass(frozen=True)
-class ThroughputSummary:
-    eta: float
-    cell_edge_bps_hz: float
-    cell_average_bps_hz: float
-
-
-def throughput_for(config: ExperimentConfig, eta: float) -> ThroughputSummary:
+def throughput_for(config: ExperimentConfig, eta: float) -> tuple[float, float]:
+    """(cell-edge, cell-average) spectral efficiency of the fluid cell, in bits/s/Hz."""
     m = fluid_model_for(config, eta)
-    return ThroughputSummary(eta=eta,
-                             cell_edge_bps_hz=cell_edge_throughput(m),
-                             cell_average_bps_hz=average_cell_throughput(m, config.exclusion))
+    return cell_edge_throughput(m), average_cell_throughput(m, config.exclusion)

@@ -13,14 +13,13 @@ density-free function of x = r / R_c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .placement import hexagonal_density
-from .stats import FitCoefficients
 
 _BISECTION_REL_TOL = 1e-12
 _BISECTION_MAX_ITER = 200
@@ -39,17 +38,12 @@ class FluidModel:
 
     half_isd: float
     eta: float
-    density: float | None = None
+    density: float = field(init=False)  # always the lattice density of half_isd
 
     def __post_init__(self):
-        if self.half_isd <= 0:
-            raise DomainError("half_isd must be positive")
+        object.__setattr__(self, "density", hexagonal_density(self.half_isd))
         if self.eta <= 2:
             raise DomainError("path loss exponent must exceed 2")
-        if self.density is None:
-            object.__setattr__(self, "density", hexagonal_density(self.half_isd))
-        elif self.density <= 0:
-            raise DomainError("density must be positive")
 
 
 def fluid_sinr(m: FluidModel, r):
@@ -77,11 +71,6 @@ def normalized_sinr(eta: float, x: float) -> float:
 
 def fluid_sinr_db(m: FluidModel, r):
     return _float_if_scalar(10.0 * np.log10(fluid_sinr(m, r)))
-
-
-def fitted_sinr_db(m: FluidModel, r, fit: FitCoefficients):
-    """dB-domain SINR corrected by the linear-in-eta shift a*eta + b."""
-    return fluid_sinr_db(m, r) - fit.shift_db(m.eta)
 
 
 def mean_cell_radius(m: FluidModel) -> float:
@@ -118,21 +107,6 @@ def invert_sinr_db(m: FluidModel, gamma_db, lo: float, hi: float):
     return _float_if_scalar(r)
 
 
-def fluid_cdf(m: FluidModel, gamma_db, exclusion: float = 0.01,
-              cell_radius: float | None = None):
-    """P(SINR in dB <= gamma_db) for a UE uniform on the serving-disk
-    annulus exclusion*R_c <= r <= cell_radius (default R_c)."""
-    if not 0 < exclusion < 1:
-        raise DomainError("exclusion must lie in (0, 1)")
-    rc = m.half_isd
-    edge = rc if cell_radius is None else cell_radius
-    lo = exclusion * rc
-    if not lo < edge < 2 * rc:
-        raise DomainError("cell_radius must lie in (exclusion*R_c, 2*R_c)")
-    rstar = invert_sinr_db(m, gamma_db, lo, edge)
-    return _float_if_scalar(np.clip((edge**2 - rstar**2) / (edge**2 - lo**2), 0.0, 1.0))
-
-
 class FluidCdf:
     """Analytic SINR CDF of the fluid cell, optionally shifted in dB.
 
@@ -141,28 +115,31 @@ class FluidCdf:
     s dB moves the whole curve left by s (the fitted-fluid correction).
     """
 
-    def __init__(self, model: FluidModel, exclusion: float = 0.01, shift_db: float = 0.0,
+    def __init__(self, model: FluidModel, exclusion: float, shift_db: float = 0.0,
                  cell_radius: float | None = None):
         if not 0 < exclusion < 1:
             raise DomainError("exclusion must lie in (0, 1)")
         self.model = model
-        self.exclusion = exclusion
         self.shift_db = shift_db
+        self.inner_radius = exclusion * model.half_isd
         self.cell_radius = model.half_isd if cell_radius is None else cell_radius
-        if not exclusion * model.half_isd < self.cell_radius < 2 * model.half_isd:
+        if not self.inner_radius < self.cell_radius < 2 * model.half_isd:
             raise DomainError("cell_radius must lie in (exclusion*R_c, 2*R_c)")
 
     def evaluate(self, gamma_db):
-        return fluid_cdf(self.model, np.asarray(gamma_db, dtype=float) + self.shift_db,
-                         self.exclusion, self.cell_radius)
+        """P(SINR in dB <= gamma_db) for a UE uniform on the annulus
+        exclusion*R_c <= r <= cell_radius."""
+        lo, edge = self.inner_radius, self.cell_radius
+        rstar = invert_sinr_db(self.model, np.asarray(gamma_db, dtype=float) + self.shift_db,
+                               lo, edge)
+        return _float_if_scalar(np.clip((edge**2 - rstar**2) / (edge**2 - lo**2), 0.0, 1.0))
 
     def quantile(self, p):
         """Inverse CDF; closed form via the annulus area law."""
         parr = np.asarray(p, dtype=float)
         if np.any((parr <= 0) | (parr >= 1)):
             raise DomainError("p must lie in (0, 1)")
-        lo = self.exclusion * self.model.half_isd
-        edge = self.cell_radius
+        lo, edge = self.inner_radius, self.cell_radius
         r = np.sqrt(edge**2 - parr * (edge**2 - lo**2))
         return _float_if_scalar(fluid_sinr_db(self.model, r) - self.shift_db)
 
@@ -180,7 +157,7 @@ def cell_edge_throughput(m: FluidModel) -> float:
     return spectral_efficiency(fluid_sinr(m, m.half_isd))
 
 
-def average_cell_throughput(m: FluidModel, exclusion: float = 0.01) -> float:
+def average_cell_throughput(m: FluidModel, exclusion: float) -> float:
     """Area-average spectral efficiency over the serving-disk annulus.
 
     Integrated in u = log r, where the integrand is smooth down to tiny

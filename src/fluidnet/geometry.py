@@ -29,10 +29,6 @@ class TorusRegion:
     def area(self) -> float:
         return self.width * self.height
 
-    def wrap(self, x: float, y: float) -> tuple[float, float]:
-        """Map coordinates into [0, width) x [0, height)."""
-        return x % self.width, y % self.height
-
 
 @dataclass(frozen=True)
 class Point:

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .fluid import fluid_sinr, spectral_efficiency
+
+FLUID_CURVE_ROWS = 512
 
 
 def fmt(value) -> str:
@@ -22,9 +25,14 @@ def write_csv(path, header, columns, comments=None, footer_comments=None):
 
     Each column becomes Python scalars once (`tolist`), so a float prints
     as `repr(float)` and an integer as `str(int)`, as `fmt` prints them.
-    A ragged table raises ValueError before the file is opened.
+    A column holding a non-finite number raises DomainError, and a ragged
+    table ValueError, before the file is opened.
     """
-    cols = [map(repr, np.asarray(col).tolist()) for col in columns]
+    arrays = [np.asarray(col) for col in columns]
+    for name, arr in zip(header, arrays):
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise DomainError(f"non-finite value in column {name} of {path}")
+    cols = [map(repr, arr.tolist()) for arr in arrays]
     lines = [*(f"# {key}={fmt(value)}" for key, value in (comments or {}).items()),
              ",".join(header),
              *map(",".join, zip(*cols, strict=True)),
@@ -33,34 +41,31 @@ def write_csv(path, header, columns, comments=None, footer_comments=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_layout_csv(layout, path, digest=None):
+def write_layout_csv(layout, path, digest):
     comments = {
         "model": layout.model.value,
         "seed": layout.seed,
         "density": layout.density,
         "width": layout.region.width,
         "height": layout.region.height,
+        "digest": digest,
     }
-    if digest is not None:
-        comments["digest"] = digest
     stations = layout.stations
     write_csv(path, ["bs_id", "x", "y"],
               [np.arange(len(stations)), stations[:, 0], stations[:, 1]], comments)
 
 
 def write_cdf_csv(path, sinr_db, probability, comments):
-    write_csv(path, ["sinr_db", "probability"],
-              [np.asarray(sinr_db, dtype=float), np.asarray(probability, dtype=float)],
-              comments)
+    write_csv(path, ["sinr_db", "probability"], [sinr_db, probability], comments)
 
 
-def write_fluid_curve_csv(model, path, n_points=512, exclusion=0.01, comments=None):
+def write_fluid_curve_csv(model, path, exclusion, comments):
     """Fluid cell profile on a geometric r-grid: SINR, CDF, spectral efficiency.
 
     SINR falls with r, so the CDF at the SINR of radius x*R_c is the area
     share of the annulus beyond it, (1 - x^2) / (1 - exclusion^2).
     """
-    x = np.geomspace(exclusion, 1.0, n_points)
+    x = np.geomspace(exclusion, 1.0, FLUID_CURVE_ROWS)
     gamma = fluid_sinr(model, x * model.half_isd)
     write_csv(path, ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"],
               [x, 10.0 * np.log10(gamma), (1 - x**2) / (1 - exclusion**2),
@@ -70,7 +75,6 @@ def write_fluid_curve_csv(model, path, n_points=512, exclusion=0.01, comments=No
 def write_fit_report_csv(shift_fit, path, comments):
     coeff = shift_fit.coefficients
     predicted = [coeff.shift_db(eta) for eta in shift_fit.etas]
-    residual = [shift - pred for shift, pred in zip(shift_fit.shifts_db, predicted)]
     write_csv(path, ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
-              [shift_fit.etas, shift_fit.shifts_db, predicted, residual], comments,
+              [shift_fit.etas, shift_fit.shifts_db, predicted, shift_fit.residuals()], comments,
               footer_comments={"a": coeff.a, "b": coeff.b, "rms": shift_fit.rms_residual_db})

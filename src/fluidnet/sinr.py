@@ -25,6 +25,8 @@ from .rng import child_seed, generator
 # Stream ids under the experiment seed: 0 draws the fixed UE set,
 # k >= 1 seeds the layout of run k.
 _UE_STREAM = 0
+# Passes of the exclusion clamp: a pushed UE can land near another station.
+_CLAMP_PASSES = 5
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,14 @@ def draw_user_set(region: TorusRegion, n: int, seed: int, exclusion_radius: floa
 
 
 def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarray,
-                        d: np.ndarray, exclusion_radius: float, max_passes: int = 5):
+                        d: np.ndarray, exclusion_radius: float):
     """Reposition UEs closer than the exclusion radius to their best server.
 
     Offenders are pushed radially (away from the server, along the
     nearest-image direction) to exactly the exclusion radius and their
     distance rows are recomputed.
     """
-    for _ in range(max_passes):
+    for _ in range(_CLAMP_PASSES):
         best = np.argmin(d, axis=1)
         dbest = d[np.arange(len(ue)), best]
         offenders = np.nonzero(dbest < exclusion_radius)[0]

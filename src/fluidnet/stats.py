@@ -88,21 +88,16 @@ class EmpiricalCdf:
 
 def empirical_cdf(samples) -> EmpiricalCdf:
     """CDF of an array of linear SINR samples, on the dB scale."""
-    linear = np.asarray(samples, dtype=float)
-    if linear.size == 0:
-        raise EmptySample("no SINR samples")
-    return EmpiricalCdf(10.0 * np.log10(linear))
+    return EmpiricalCdf(10.0 * np.log10(np.asarray(samples, dtype=float)))
 
 
-def mean_horizontal_shift(reference, target, p_grid=DEFAULT_P_GRID) -> float:
-    """Mean dB offset between two CDF curves over a quantile grid.
+def mean_horizontal_shift(reference, target) -> float:
+    """Mean dB offset between two CDF curves over DEFAULT_P_GRID.
 
     Positive when the reference curve lies to the right of the target
     (reference optimistic versus target).
     """
-    p = np.asarray(p_grid, dtype=float)
-    if p.size == 0 or np.any((p <= 0) | (p >= 1)):
-        raise DomainError("p_grid must be nonempty within (0, 1)")
+    p = np.asarray(DEFAULT_P_GRID, dtype=float)
     return float(np.mean(reference.quantile(p) - target.quantile(p)))
 
 
@@ -136,12 +131,12 @@ def correlation_coefficient(xs, ys) -> float:
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
-def cdf_curve_correlation(fitted_fluid, poisson, n_points: int = CORRELATION_GRID_POINTS) -> float:
+def cdf_curve_correlation(fitted_fluid, poisson) -> float:
     """Correlation of two CDF curves sampled on a shared uniform dB grid.
 
     The grid spans the union of the curves' 1st-99th percentile ranges.
     """
     lo = min(float(np.min(fitted_fluid.quantile(0.01))), float(np.min(poisson.quantile(0.01))))
     hi = max(float(np.max(fitted_fluid.quantile(0.99))), float(np.max(poisson.quantile(0.99))))
-    grid = np.linspace(lo, hi, n_points)
+    grid = np.linspace(lo, hi, CORRELATION_GRID_POINTS)
     return correlation_coefficient(fitted_fluid.evaluate(grid), poisson.evaluate(grid))

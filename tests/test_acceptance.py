@@ -13,7 +13,7 @@ import pytest
 from fluidnet.cli import main
 from fluidnet.config import DEFAULT_ETAS
 from fluidnet.experiment import correlation_for, fluid_cdf_for, monte_carlo_cdfs
-from fluidnet.fluid import FluidModel, average_cell_throughput, fluid_cdf, fluid_sinr
+from fluidnet.fluid import FluidCdf, FluidModel, average_cell_throughput, fluid_sinr
 from fluidnet.geometry import Point, TorusRegion, torus_distance
 from fluidnet.placement import ModelKind, NetworkLayout
 from fluidnet.sinr import PropagationModel, sinr
@@ -151,7 +151,7 @@ class TestCriterion7Oracles:
         sample_db = 10 * np.log10(gamma)
         grid = np.linspace(sample_db.min(), sample_db.max(), 200)
         empirical = np.searchsorted(np.sort(sample_db), grid, side="right") / r.size
-        analytic = np.array([fluid_cdf(m, g, eps) for g in grid])
+        analytic = np.array([FluidCdf(m, eps).evaluate(g) for g in grid])
         sup = float(np.max(np.abs(empirical - analytic)))
         report("criterion 7 fluid cdf oracle", sup <= 0.005,
                f"sup-norm {sup:.4f} over 1e6 samples (want <=0.005)")

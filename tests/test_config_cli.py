@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fluidnet
+from fluidnet import cli
 from fluidnet.cli import main
 from fluidnet.config import (DEFAULT_ETAS, ExperimentConfig, config_from_mapping,
                              load_config_file, parse_float_list)
@@ -119,12 +120,22 @@ class TestCli:
     def test_fit_single_eta_exits_2(self, tmp_path):
         assert main(["fit", "--eta", "3.0", "--out", str(tmp_path)]) == 2
 
-    def test_invalid_eta_exits_2(self, tmp_path):
+    def test_invalid_eta_exits_2(self, tmp_path, monkeypatch, capsys):
         # an empty --eta is rejected, not read as "use the default eta list"
         for eta in ("1.5", ""):
             assert main(["cdf", "--model", "fluid", "--eta", eta,
                          "--out", str(tmp_path)]) == 2
         assert not list(tmp_path.glob("*.csv"))
+        # eta values that share a file label would overwrite each other's files:
+        # refused before any simulation
+        monkeypatch.setattr("fluidnet.cli._cdfs", lambda *a: pytest.fail("simulated"))
+        capsys.readouterr()
+        for argv in (["cdf", "--model", "poisson", "--eta", "3.00001,3.00002",
+                      "--runs", "1", "--users", "10"], ["fit", "--eta", "3,3"]):
+            assert main([*argv, "--out", str(tmp_path / "dup")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "dup").exists()
 
     def test_nan_density_scale_exits_2(self, tmp_path):
         assert main(["cdf", "--model", "poisson", "--density-scale", "nan",
@@ -188,6 +199,30 @@ class TestCli:
         assert result.returncode == 3
         assert result.stderr == f"error: non-finite SINR at eta={args[3]} in layout 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["400", "1e308"])
+    def test_non_finite_fluid_cdf_exits_3(self, tmp_path, eta):
+        # the fluid SINR overflows: write_csv refuses the column before opening the
+        # file, with no numpy overflow warning before the error line
+        out = tmp_path / "o4"
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "fluidnet.cli", "cdf", "--model", "fluid",
+                                 "--eta", eta, "--out", str(out)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: non-finite value in column sinr_db of ")
+        assert result.stderr.count("\n") == 1
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("message, line", [("Unable to allocate 44.7 GiB", None),
+                                               ("", "out of memory")])
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys, message, line):
+        # a stand-in for an allocation that fails: a real one could succeed on a large host
+        def exhausted(args):
+            raise MemoryError(message)
+        monkeypatch.setitem(cli._COMMANDS, "cdf", exhausted)
+        assert main(["cdf", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"error: {line or message}\n"
 
     def test_failed_fit_leaves_no_out_dir(self, tmp_path):
         out = tmp_path / "o3"

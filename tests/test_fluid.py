@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError
+from fluidnet.experiment import fluid_cdf_for
 from fluidnet.fluid import (FluidCdf, FluidModel, average_cell_throughput,
-                            cell_edge_throughput, fitted_sinr_db, fluid_cdf,
-                            fluid_sinr, fluid_sinr_db, invert_sinr_db,
-                            mean_cell_radius, normalized_sinr,
+                            cell_edge_throughput, fluid_sinr, fluid_sinr_db,
+                            invert_sinr_db, mean_cell_radius, normalized_sinr,
                             spectral_efficiency)
 from fluidnet.placement import hexagonal_density
-from fluidnet.stats import FitCoefficients
+from fluidnet.stats import CANONICAL_FIT
 
 SQRT3 = math.sqrt(3.0)
 
@@ -87,40 +88,24 @@ class TestNormalizedSinr:
             normalized_sinr(1.9, 1.0)
 
 
-class TestFittedSinr:
-    def test_shift_eta_2p8(self):
-        fit = FitCoefficients(3.0, -6.0)
-        m = model(2.8)
-        assert fluid_sinr_db(m, 0.9) - fitted_sinr_db(m, 0.9, fit) == pytest.approx(2.4)
-
-    def test_shift_eta_3p6(self):
-        fit = FitCoefficients(3.0, -6.0)
-        m = model(3.6)
-        assert fluid_sinr_db(m, 0.9) - fitted_sinr_db(m, 0.9, fit) == pytest.approx(4.8)
-
-    def test_zero_correction_is_identity(self):
-        fit = FitCoefficients(0.0, 0.0)
-        m = model(3.2)
-        assert fitted_sinr_db(m, 0.5, fit) == pytest.approx(fluid_sinr_db(m, 0.5))
-
-
 class TestFluidCdf:
     def test_limits(self):
         m = model(3.0)
         eps = 0.01
         # CDF is 1 at the peak SINR (inner radius), 0 at the cell-edge minimum
-        assert fluid_cdf(m, fluid_sinr_db(m, eps * 1.0) + 1e-9, eps) == pytest.approx(1.0)
-        assert fluid_cdf(m, fluid_sinr_db(m, 1.0), eps) == pytest.approx(0.0, abs=1e-9)
+        cdf = FluidCdf(m, eps)
+        assert cdf.evaluate(fluid_sinr_db(m, eps * 1.0) + 1e-9) == pytest.approx(1.0)
+        assert cdf.evaluate(fluid_sinr_db(m, 1.0)) == pytest.approx(0.0, abs=1e-9)
 
     def test_saturates(self):
-        m = model(3.0)
-        assert fluid_cdf(m, 1e3) == 1.0
-        assert fluid_cdf(m, -1e3) == 0.0
+        cdf = FluidCdf(model(3.0), 0.01)
+        assert cdf.evaluate(1e3) == 1.0
+        assert cdf.evaluate(-1e3) == 0.0
 
     def test_monotone_nondecreasing(self):
-        m = model(2.7)
+        cdf = FluidCdf(model(2.7), 0.01)
         grid = np.linspace(-20, 60, 300)
-        values = [fluid_cdf(m, g) for g in grid]
+        values = [cdf.evaluate(g) for g in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_bisection_round_trip(self):
@@ -139,29 +124,39 @@ class TestFluidCdf:
         sample_db = np.array([fluid_sinr_db(m, ri) for ri in r])
         grid = np.linspace(sample_db.min(), sample_db.max(), 120)
         empirical = np.searchsorted(np.sort(sample_db), grid, side="right") / r.size
-        analytic = np.array([fluid_cdf(m, g, eps) for g in grid])
+        analytic = np.array([FluidCdf(m, eps).evaluate(g) for g in grid])
         assert np.max(np.abs(empirical - analytic)) < 0.01
 
     def test_array_matches_scalar(self):
         m = model(3.3)
+        plain = FluidCdf(m, 0.01)
         cdf = FluidCdf(m, 0.01, shift_db=1.5, cell_radius=mean_cell_radius(m))
         # reaches past both ends of the SINR range, where the CDF clips to 0 and 1
         grid = np.linspace(fluid_sinr_db(m, 1.2) - 5, fluid_sinr_db(m, 0.01) + 5, 301)
-        values = fluid_cdf(m, grid)
+        values = plain.evaluate(grid)
         assert values[0] == 0.0 and values[-1] == 1.0
         # array and scalar pow may round differently in the last bit, which can flip
         # the final bisection step: allow one bracket width (1e-12 relative in r)
-        np.testing.assert_allclose(values, [fluid_cdf(m, g) for g in grid], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(values, [plain.evaluate(g) for g in grid], rtol=0, atol=1e-11)
         np.testing.assert_allclose(cdf.evaluate(grid), [cdf.evaluate(g) for g in grid],
                                    rtol=0, atol=1e-11)
         r = np.linspace(0.01, 1.99, 50)
         np.testing.assert_allclose(fluid_sinr(m, r), [fluid_sinr(m, ri) for ri in r], rtol=1e-14)
-        assert isinstance(fluid_cdf(m, 3.0), float) and isinstance(fluid_sinr(m, 0.5), float)
+        assert isinstance(plain.evaluate(3.0), float) and isinstance(fluid_sinr(m, 0.5), float)
 
     def test_quantile_evaluate_consistency(self):
         cdf = FluidCdf(model(3.4), 0.01)
         for p in (0.1, 0.5, 0.9):
             assert cdf.evaluate(cdf.quantile(p)) == pytest.approx(p, abs=1e-6)
+
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 4.2, 6.0])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_quantile_evaluate_round_trip_on_mean_cell_disk(self, eta, shifted):
+        # the mean-cell-area disk (~1.05 R_c) that the cdf, fit and outage outputs use
+        cdf = fluid_cdf_for(ExperimentConfig(), eta,
+                            CANONICAL_FIT.shift_db(eta) if shifted else 0.0)
+        for p in (0.01, 0.5, 0.99):
+            assert abs(cdf.evaluate(cdf.quantile(p)) - p) <= 1e-9
 
     def test_shift_moves_curve(self):
         base = FluidCdf(model(3.0), 0.01)
@@ -223,7 +218,7 @@ class TestThroughput:
     def test_average_at_least_cell_edge(self):
         for eta in (2.5, 3.0, 4.0):
             m = model(eta)
-            assert average_cell_throughput(m) >= cell_edge_throughput(m)
+            assert average_cell_throughput(m, 0.01) >= cell_edge_throughput(m)
 
 
 def test_model_validation():

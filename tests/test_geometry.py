@@ -112,8 +112,3 @@ def test_invalid_region_rejected():
         TorusRegion(0.0, 1.0)
     with pytest.raises(DomainError):
         TorusRegion(1.0, -2.0)
-
-
-def test_wrap():
-    x, y = TorusRegion(2.0, 3.0).wrap(-0.5, 3.5)
-    assert (x, y) == (1.5, 0.5)

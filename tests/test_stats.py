@@ -118,11 +118,6 @@ class TestMeanHorizontalShift:
         shifted = FluidCdf(FluidModel(half_isd=1.0, eta=3.0), 0.01, shift_db=2.0)
         assert mean_horizontal_shift(fluid, shifted) == pytest.approx(2.0, abs=1e-9)
 
-    def test_invalid_grid(self):
-        cdf = EmpiricalCdf([1.0, 2.0])
-        with pytest.raises(DomainError):
-            mean_horizontal_shift(cdf, cdf, p_grid=[0.0, 0.5])
-
 
 class TestFitLinear:
     def test_two_point_line_is_exact(self):
