@@ -8,8 +8,7 @@ from .geometry import Point, TorusRegion, torus_distance
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
                         generate_poisson, hexagonal_density,
                         region_for_expected_count)
-from .sinr import (PropagationModel, UserSet, best_server, monte_carlo_sweep,
-                   path_gain, run_monte_carlo, sinr, sinr_field)
+from .sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr, sinr_field
 from .stats import (CANONICAL_FIT, EmpiricalCdf, FitCoefficients, ShiftFit,
                     cdf_curve_correlation, correlation_coefficient,
                     empirical_cdf, fit_linear, mean_horizontal_shift)
@@ -19,12 +18,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CANONICAL_FIT", "EmpiricalCdf", "ExperimentConfig", "FitCoefficients",
     "FluidCdf", "FluidModel", "ModelKind", "NetworkLayout", "Point",
-    "PropagationModel", "ShiftFit", "TorusRegion", "UserSet",
-    "average_cell_throughput", "best_server", "cdf_curve_correlation",
-    "cell_edge_throughput", "correlation_coefficient", "empirical_cdf",
-    "fit_linear", "fluid_sinr",
+    "ShiftFit", "TorusRegion", "UserSet", "average_cell_throughput",
+    "cdf_curve_correlation", "cell_edge_throughput", "correlation_coefficient",
+    "empirical_cdf", "fit_linear", "fluid_sinr",
     "generate_hexagonal", "generate_poisson", "hexagonal_density",
-    "mean_horizontal_shift", "monte_carlo_sweep", "normalized_sinr", "path_gain",
+    "mean_horizontal_shift", "monte_carlo_sweep", "normalized_sinr",
     "region_for_expected_count", "run_monte_carlo", "sinr", "sinr_field",
     "spectral_efficiency", "torus_distance",
 ]

@@ -17,8 +17,8 @@ from .config import ExperimentConfig, config_from_mapping, load_config_file, par
 from .errors import ConfigError, FluidNetError
 from .experiment import (correlation_for, fit_shift_law, fluid_cdf_for,
                          fluid_model_for, monte_carlo_cdfs, throughput_for)
-from .io import (write_cdf_csv, write_csv, write_fit_report_csv, write_fluid_curve_csv,
-                 write_layout_csv)
+from .io import (check_finite, write_cdf_csv, write_csv, write_fit_report_csv,
+                 write_fluid_curve_csv, write_layout_csv)
 from .placement import (ModelKind, generate_hexagonal, generate_poisson,
                         hexagonal_density, region_for_expected_count)
 from .stats import CANONICAL_FIT
@@ -137,21 +137,26 @@ def _cdfs(config, model: str) -> dict:
 
 
 def _write_cdfs(config, out: Path, model: str, cdfs: dict, **extra_comments):
-    """One cdf_<model>_eta<eta>.csv per {eta: cdf} entry: quantiles on a fixed p-grid."""
+    """One cdf_<model>_eta<eta>.csv per {eta: cdf} entry: quantiles on a fixed p-grid.
+
+    Every table is checked before --out is created, so a failed run writes nothing.
+    """
+    tables = {}
     for eta, cdf in cdfs.items():
-        label = _eta_label(eta)
-        path = out / f"cdf_{model}_eta{label}.csv"
-        write_cdf_csv(path, cdf.quantile(_CDF_P_GRID), _CDF_P_GRID,
+        path = out / f"cdf_{model}_eta{_eta_label(eta)}.csv"
+        tables[eta] = path, check_finite(path, "sinr_db", cdf.quantile(_CDF_P_GRID))
+    _make_dir(out)
+    for eta, (path, sinr_db) in tables.items():
+        write_cdf_csv(path, sinr_db, _CDF_P_GRID,
                       {"digest": config.digest(), "model": model, "eta": eta,
                        "seed": config.seed, **extra_comments})
-        _log(f"cdf: {model} eta={label} -> {path}")
+        _log(f"cdf: {model} eta={_eta_label(eta)} -> {path}")
 
 
 def cmd_cdf(args) -> int:
     config = config_from_args(args)
     out = _out_dir(args)
-    cdfs = _cdfs(config, args.model)
-    _write_cdfs(config, _make_dir(out), args.model, cdfs)
+    _write_cdfs(config, out, args.model, _cdfs(config, args.model))
     return 0
 
 

@@ -22,9 +22,6 @@ class ExperimentConfig:
     seed: int = 1
     exclusion: float = 0.01
     density_scale: float = 1.0
-    noise_w: float = 0.0
-    tx_power_w: float = 1.0
-    path_gain_k: float = 1.0
     rings: int = 3
 
     def validate(self) -> "ExperimentConfig":
@@ -47,8 +44,6 @@ class ExperimentConfig:
             raise ConfigError("exclusion must lie in (0, 1)")
         if self.density_scale <= 0:
             raise ConfigError("density_scale must be positive")
-        if self.noise_w < 0 or self.tx_power_w <= 0 or self.path_gain_k <= 0:
-            raise ConfigError("powers must be positive, noise nonnegative")
         if self.rings < 1:
             raise ConfigError("rings must be >= 1")
         return self
@@ -71,11 +66,9 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-_FIELD_TYPES = {
-    "half_isd": float, "expected_stations": float, "runs": int, "users": int,
-    "seed": int, "exclusion": float, "density_scale": float, "noise_w": float,
-    "tx_power_w": float, "path_gain_k": float, "rings": int,
-}
+# the type of each settable key is that of its default; eta_list is parsed apart
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)
+                if f.name != "eta_list"}
 
 
 def parse_float_list(text: str) -> tuple:

@@ -9,16 +9,12 @@ class DomainError(FluidNetError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class NonPositiveDistance(DomainError):
-    """Path gain requested at a distance <= 0."""
-
-
 class InsufficientStations(FluidNetError):
     """A layout has too few stations for the requested computation."""
 
 
 class NoInterference(InsufficientStations):
-    """SINR with zero thermal noise needs at least one interfering station."""
+    """The SINR needs at least one interfering station."""
 
 
 class EmptySample(FluidNetError):

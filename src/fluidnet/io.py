@@ -20,18 +20,24 @@ def fmt(value) -> str:
     return str(value)
 
 
+def check_finite(path, name, column) -> np.ndarray:
+    """The column as an array; DomainError, naming the file and column, if it
+    is a float column holding a non-finite number."""
+    arr = np.asarray(column)
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise DomainError(f"non-finite value in column {name} of {path}")
+    return arr
+
+
 def write_csv(path, header, columns, comments=None, footer_comments=None):
     """One CSV file from equal-length, single-dtype columns.
 
     Each column becomes Python scalars once (`tolist`), so a float prints
     as `repr(float)` and an integer as `str(int)`, as `fmt` prints them.
     A column holding a non-finite number raises DomainError, and a ragged
-    table ValueError, before the file is opened.
+    table or a header of another length ValueError, before the file is opened.
     """
-    arrays = [np.asarray(col) for col in columns]
-    for name, arr in zip(header, arrays):
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise DomainError(f"non-finite value in column {name} of {path}")
+    arrays = [check_finite(path, name, col) for name, col in zip(header, columns, strict=True)]
     cols = [map(repr, arr.tolist()) for arr in arrays]
     lines = [*(f"# {key}={fmt(value)}" for key, value in (comments or {}).items()),
              ",".join(header),

@@ -1,9 +1,8 @@
 """Downlink SINR computation and Monte Carlo driver.
 
-The SINR of a user is the received power from its best (nearest) server
-divided by the summed power of every other station plus thermal noise.
-With a power-law path gain K*r^-eta and zero noise this reduces to the
-distance-only ratio r^-eta / sum_j r_j^-eta.
+The SINR is interference-limited, like the fluid closed form: the path
+gain r^-eta of a user's best (nearest) server divided by the summed gains
+of every other station, r_best^-eta / sum_{j != best} r_j^-eta.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DomainError, NoInterference, NonPositiveDistance
+from .errors import DomainError, NoInterference
 from .geometry import Point, TorusRegion, torus_distance_matrix, wrapped_displacement
 from .parallel import map_row_blocks
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
@@ -30,24 +29,6 @@ _CLAMP_PASSES = 5
 
 
 @dataclass(frozen=True)
-class PropagationModel:
-    """Power-law path gain K * r^-eta with per-subcarrier power and noise."""
-
-    path_loss_exponent: float
-    path_gain_constant: float = 1.0
-    tx_power: float = 1.0
-    thermal_noise: float = 0.0
-
-    def __post_init__(self):
-        if self.path_loss_exponent <= 2:
-            raise DomainError("path loss exponent must exceed 2")
-        if self.path_gain_constant <= 0 or self.tx_power <= 0:
-            raise DomainError("K and P must be positive")
-        if self.thermal_noise < 0:
-            raise DomainError("thermal noise must be nonnegative")
-
-
-@dataclass(frozen=True)
 class UserSet:
     """UE positions, fixed across Monte Carlo runs."""
 
@@ -55,31 +36,20 @@ class UserSet:
     exclusion_radius: float
 
 
-def path_gain(model: PropagationModel, distance: float):
-    """K * distance^-eta."""
-    d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
-        raise NonPositiveDistance("path gain undefined at distance <= 0")
-    out = model.path_gain_constant * d ** (-model.path_loss_exponent)
-    return out if out.ndim else float(out)
+def _check_sinr_domain(layout: NetworkLayout, etas: Sequence[float]):
+    if not all(eta > 2 for eta in etas):
+        raise DomainError("path loss exponent must exceed 2")
+    if layout.n_stations < 2:
+        raise NoInterference("SINR needs at least 2 stations")
 
 
-def best_server(layout: NetworkLayout, u: Point) -> int:
-    """Index of the nearest station under the torus metric (ties: lowest index)."""
-    d = torus_distance_matrix(layout.region, np.array([[u.x, u.y]]), layout.stations)
-    return int(np.argmin(d[0]))
-
-
-def sinr(layout: NetworkLayout, model: PropagationModel, u: Point) -> float:
+def sinr(layout: NetworkLayout, eta: float, u: Point) -> float:
     """Linear SINR of a single user against a layout (no repositioning)."""
-    if layout.n_stations < 2 and model.thermal_noise == 0:
-        raise NoInterference("zero-noise SINR needs at least 2 stations")
+    _check_sinr_domain(layout, (eta,))
     d = torus_distance_matrix(layout.region, np.array([[u.x, u.y]]), layout.stations)[0]
-    gains = path_gain(model, d)
+    gains = d ** -eta
     i = int(np.argmin(d))
-    signal = model.tx_power * gains[i]
-    interference = model.tx_power * (gains.sum() - gains[i])
-    return signal / (interference + model.thermal_noise)
+    return gains[i] / (gains.sum() - gains[i])
 
 
 def draw_user_set(region: TorusRegion, n: int, seed: int, exclusion_radius: float) -> UserSet:
@@ -113,33 +83,29 @@ def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarra
     return d
 
 
-def sinr_field(layout: NetworkLayout, models: Sequence[PropagationModel],
+def sinr_field(layout: NetworkLayout, etas: Sequence[float],
                users: UserSet) -> np.ndarray:
-    """Linear SINR of shape (len(models), users), with exclusion-radius clamping.
+    """Linear SINR of shape (len(etas), users), with exclusion-radius clamping.
 
     Distances and the clamp depend only on the layout, so they are computed
-    once for all models; the per-model reduction runs on row blocks in
-    separate threads.
+    once for all path-loss exponents; the per-eta reduction runs on row
+    blocks in separate threads.
     """
-    if layout.n_stations < 2 and any(m.thermal_noise == 0 for m in models):
-        raise NoInterference("zero-noise SINR needs at least 2 stations")
+    _check_sinr_domain(layout, etas)
     ue = users.points.astype(float).copy()
     d = torus_distance_matrix(layout.region, ue, layout.stations)
     d = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
     best = np.argmin(d, axis=1)
     index = np.arange(len(ue))
     gains = np.empty_like(d)
-    out = np.empty((len(models), len(ue)))
+    out = np.empty((len(etas), len(ue)))
 
     def reduce_rows(rows):
         g, b, i = gains[rows], best[rows], index[:rows.stop - rows.start]
-        for m, sinr_row in zip(models, out):
-            np.power(d[rows], -m.path_loss_exponent, out=g)
-            g *= m.path_gain_constant
+        for eta, sinr_row in zip(etas, out):
+            np.power(d[rows], -eta, out=g)
             gbest = g[i, b]
-            signal = m.tx_power * gbest
-            interference = m.tx_power * (g.sum(axis=1) - gbest)
-            np.divide(signal, interference + m.thermal_noise, out=sinr_row[rows])
+            np.divide(gbest, g.sum(axis=1) - gbest, out=sinr_row[rows])
 
     # a zero interference or an overflow gives a non-finite SINR, for which
     # monte_carlo_sweep raises DomainError; numpy's warning would only precede it
@@ -163,10 +129,6 @@ def monte_carlo_sweep(config: ExperimentConfig,
     config.validate()
     etas = list(dict.fromkeys(config.eta_list))
     r = config.effective_half_isd
-    models = [PropagationModel(path_loss_exponent=eta,
-                               path_gain_constant=config.path_gain_k,
-                               tx_power=config.tx_power_w,
-                               thermal_noise=config.noise_w) for eta in etas]
     if model_kind is ModelKind.HEXAGONAL:
         hexagonal = generate_hexagonal(r, config.rings, seed=config.seed, fill_region=True)
         region, runs = hexagonal.region, 1
@@ -183,7 +145,7 @@ def monte_carlo_sweep(config: ExperimentConfig,
             layout = hexagonal
         else:
             layout = generate_poisson(region, density, child_seed(config.seed, k))
-        field = sinr_field(layout, models, users)
+        field = sinr_field(layout, etas, users)
         finite = np.isfinite(field).all(axis=1)
         if not finite.all():
             eta = etas[int(np.argmin(finite))]

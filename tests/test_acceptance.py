@@ -16,7 +16,7 @@ from fluidnet.experiment import correlation_for, fluid_cdf_for, monte_carlo_cdfs
 from fluidnet.fluid import FluidCdf, FluidModel, average_cell_throughput, fluid_sinr
 from fluidnet.geometry import Point, TorusRegion, torus_distance
 from fluidnet.placement import ModelKind, NetworkLayout
-from fluidnet.sinr import PropagationModel, sinr
+from fluidnet.sinr import UserSet, sinr, sinr_field
 from fluidnet.stats import CANONICAL_FIT
 
 FIT_ETAS = (2.6, 2.8, 3.0, 3.2, 3.4, 3.6, 3.8)
@@ -156,23 +156,37 @@ class TestCriterion7Oracles:
         report("criterion 7 fluid cdf oracle", sup <= 0.005,
                f"sup-norm {sup:.4f} over 1e6 samples (want <=0.005)")
 
-    def test_sinr_vs_brute_force(self):
+    @staticmethod
+    def brute_force_cases():
+        """50 seeded 5-station layouts and users, with the SIR at eta=3.3 summed
+        over python-level torus distances."""
         rng = np.random.default_rng(61)
         region = TorusRegion(10.0, 10.0)
-        worst = 0.0
         for _ in range(50):
             pts = rng.random((5, 2)) * 10.0
             layout = NetworkLayout(region=region, stations=pts,
                                    model=ModelKind.POISSON, density=0.05, seed=0)
             u = Point(*(rng.random(2) * 10.0))
-            m = PropagationModel(3.3)
             dists = np.array([torus_distance(region, u, Point(*s)) for s in pts])
             gains = dists ** -3.3
             k = int(np.argmin(dists))
-            expected = gains[k] / (gains.sum() - gains[k])
-            got = sinr(layout, m, u)
-            worst = max(worst, abs(got - expected) / expected)
+            yield layout, u, gains[k] / (gains.sum() - gains[k])
+
+    def test_sinr_vs_brute_force(self):
+        worst = max(abs(sinr(layout, 3.3, u) - expected) / expected
+                    for layout, u, expected in self.brute_force_cases())
         report("criterion 7 sinr oracle", worst <= 1e-12,
+               f"worst relative error {worst:.2e} over 50 layouts (want <=1e-12)")
+
+    def test_sinr_field_vs_brute_force(self):
+        # the vectorised kernel the CLI runs; a zero exclusion radius keeps the
+        # clamp from moving any user
+        worst = 0.0
+        for layout, u, expected in self.brute_force_cases():
+            users = UserSet(points=np.array([[u.x, u.y]]), exclusion_radius=0.0)
+            got = sinr_field(layout, [3.3], users)[0, 0]
+            worst = max(worst, abs(got - expected) / expected)
+        report("criterion 7 sinr_field oracle", worst <= 1e-12,
                f"worst relative error {worst:.2e} over 50 layouts (want <=1e-12)")
 
     def test_average_throughput_vs_sampling(self):

@@ -33,7 +33,7 @@ class TestConfig:
         {"exclusion": 1.0},
         {"density_scale": 0.0},
         {"half_isd": -1.0},
-        {"tx_power_w": 0.0},
+        {"rings": 0},
         {"eta_list": (float("nan"), 3.0)},
         {"eta_list": (3.0, float("inf"))},
         {"density_scale": float("nan")},
@@ -67,6 +67,12 @@ class TestConfig:
         cfg = config_from_mapping(load_config_file(path))
         assert cfg.seed == 9 and cfg.runs == 7 and cfg.eta_list == (2.6, 3.0)
 
+    def test_benchmark_config_loads(self):
+        # the benchmark runs fit with this file: dropping a key it sets fails here first
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "fit_large_torus.cfg"
+        cfg = config_from_mapping(load_config_file(path))
+        assert cfg.expected_stations == 200.0 and cfg.runs == 50
+
     def test_config_file_errors(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("not a pair\n")
@@ -78,6 +84,11 @@ class TestConfig:
         path.write_text("runs = many\n")
         with pytest.raises(ConfigError):
             config_from_mapping(load_config_file(path))
+        # the Monte Carlo-only power and noise keys are gone: the fluid side never had them
+        for key in ("noise_w", "tx_power_w", "path_gain_k"):
+            path.write_text(f"{key} = 1\n")
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                config_from_mapping(load_config_file(path))
 
 
 def read_rows(path):
@@ -200,10 +211,11 @@ class TestCli:
         assert result.stderr == f"error: non-finite SINR at eta={args[3]} in layout 1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("eta", ["400", "1e308"])
+    @pytest.mark.parametrize("eta", ["400", "1e308", "3,400"])
     def test_non_finite_fluid_cdf_exits_3(self, tmp_path, eta):
-        # the fluid SINR overflows: write_csv refuses the column before opening the
-        # file, with no numpy overflow warning before the error line
+        # the fluid SINR overflows: the column is refused before --out is created,
+        # also when an earlier eta is fine, with no numpy overflow warning before
+        # the error line
         out = tmp_path / "o4"
         env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-m", "fluidnet.cli", "cdf", "--model", "fluid",
@@ -212,7 +224,7 @@ class TestCli:
         assert result.returncode == 3
         assert result.stderr.startswith("error: non-finite value in column sinr_db of ")
         assert result.stderr.count("\n") == 1
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("message, line", [("Unable to allocate 44.7 GiB", None),
                                                ("", "out of memory")])
@@ -250,9 +262,9 @@ class TestCli:
     def test_cli_import_and_one_row_start_no_thread_pool(self):
         # set-up pays for no threads: concurrent.futures and the pool load on the first split
         code = ("import sys, fluidnet.cli\n"
-                "from fluidnet import Point, best_server, generate_hexagonal, parallel\n"
+                "from fluidnet import Point, generate_hexagonal, parallel, sinr\n"
                 "imported = 'concurrent.futures' in sys.modules\n"
-                "best_server(generate_hexagonal(1.0, 2), Point(0.1, 0.2))\n"
+                "sinr(generate_hexagonal(1.0, 2), 3.0, Point(0.1, 0.2))\n"
                 "print(imported, 'concurrent.futures' in sys.modules, parallel._pool)")
         env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

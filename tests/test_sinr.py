@@ -6,11 +6,10 @@ import pytest
 
 from fluidnet import parallel
 from fluidnet.config import ExperimentConfig
-from fluidnet.errors import DomainError, NoInterference, NonPositiveDistance
-from fluidnet.geometry import Point, TorusRegion, torus_distance
+from fluidnet.errors import DomainError, NoInterference
+from fluidnet.geometry import Point, TorusRegion, torus_distance, torus_distance_matrix
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
-from fluidnet.sinr import (PropagationModel, UserSet, best_server, monte_carlo_sweep,
-                           path_gain, run_monte_carlo, sinr, sinr_field)
+from fluidnet.sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr, sinr_field
 
 # the package attribute fluidnet.sinr is the function sinr, not the module
 SINR_MODULE = importlib.import_module("fluidnet.sinr")
@@ -22,104 +21,76 @@ def make_layout(stations, width=10.0, height=10.0):
                          model=ModelKind.POISSON, density=1.0, seed=0)
 
 
+def server_and_interferer(distance):
+    """A user at distance 1 from its server and `distance` from the one interferer."""
+    return make_layout([[5, 5], [5, 4 - distance]], width=20, height=20), Point(5.0, 4.0)
+
+
 class TestPathGain:
+    # with one interferer the SINR is the gain ratio distance^eta / 1^eta
     def test_unit_case(self):
-        assert path_gain(PropagationModel(2.000001), 1.0) == pytest.approx(1.0)
+        layout, u = server_and_interferer(1.0)
+        assert sinr(layout, 2.000001, u) == pytest.approx(1.0)
 
     def test_inverse_fourth_power(self):
-        m = PropagationModel(path_loss_exponent=4.0)
-        assert path_gain(m, 2.0) == pytest.approx(0.0625, rel=1e-12)
+        layout, u = server_and_interferer(2.0)
+        assert sinr(layout, 4.0, u) == pytest.approx(16.0, rel=1e-12)
 
     def test_general_value(self):
-        m = PropagationModel(path_loss_exponent=3.5, path_gain_constant=3.0)
-        # frozen from direct evaluation of 3 * 1.7**-3.5
-        assert path_gain(m, 1.7) == pytest.approx(0.4683278987466134, rel=1e-12)
-
-    def test_nonpositive_distance(self):
-        m = PropagationModel(3.0)
-        with pytest.raises(NonPositiveDistance):
-            path_gain(m, 0.0)
-        with pytest.raises(NonPositiveDistance):
-            path_gain(m, -1.0)
+        layout, u = server_and_interferer(1.7)
+        # frozen from direct evaluation of 1.7**3.5
+        assert sinr(layout, 3.5, u) == pytest.approx(6.405768283352122, rel=1e-12)
 
     def test_eta_must_exceed_two(self):
-        with pytest.raises(DomainError):
-            PropagationModel(2.0)
-
-
-class TestBestServer:
-    def test_coincident_station_wins(self):
-        layout = make_layout([[1, 1], [2, 2], [3, 3], [4, 4], [5, 5]])
-        assert best_server(layout, Point(4.0, 4.0)) == 3
-
-    def test_tie_breaks_to_lowest_index(self):
-        # stations at indices 1 and 4 both at distance 1 from the probe
-        layout = make_layout([[5, 5], [3, 2], [8, 8], [9, 9], [5, 2]])
-        assert best_server(layout, Point(4.0, 2.0)) == 1
-
-    def test_matches_exhaustive_argmin(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            pts = rng.random((5, 2)) * 10.0
-            layout = make_layout(pts)
-            u = Point(*(rng.random(2) * 10.0))
-            dists = [torus_distance(layout.region, u, Point(*s)) for s in pts]
-            assert best_server(layout, u) == int(np.argmin(dists))
+        layout, u = server_and_interferer(2.0)
+        users = UserSet(points=np.array([[u.x, u.y]]), exclusion_radius=0.01)
+        for eta in (2.0, 1.5, float("nan")):
+            with pytest.raises(DomainError):
+                sinr(layout, eta, u)
+            with pytest.raises(DomainError):
+                sinr_field(layout, [3.0, eta], users)
 
 
 class TestSinr:
     def test_equidistant_two_stations(self):
         layout = make_layout([[4, 5], [6, 5]])
         for eta in (2.5, 3.0, 4.0):
-            m = PropagationModel(eta)
-            assert sinr(layout, m, Point(5.0, 5.0)) == pytest.approx(1.0, rel=1e-12)
+            assert sinr(layout, eta, Point(5.0, 5.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_computed_geometry(self):
         # serving at distance 1, interferers at 2 and 4, eta=2:
         # 1 / (1/4 + 1/16) = 3.2
         layout = make_layout([[5, 5], [5, 2], [5, 8]], width=20, height=20)
-        m = PropagationModel(2.0001)
-        assert sinr(layout, m, Point(5.0, 4.0)) == pytest.approx(3.2, rel=1e-3)
-
-    def test_power_and_gain_cancel(self):
-        layout = make_layout([[2, 3], [7, 4], [4, 8]])
-        u = Point(3.0, 3.0)
-        base = sinr(layout, PropagationModel(3.0), u)
-        scaled = sinr(layout, PropagationModel(3.0, path_gain_constant=10.0,
-                                               tx_power=10.0), u)
-        assert scaled == pytest.approx(base, rel=1e-12)
+        assert sinr(layout, 2.0001, Point(5.0, 4.0)) == pytest.approx(3.2, rel=1e-3)
 
     def test_single_station_no_interference(self):
         layout = make_layout([[5, 5]])
         with pytest.raises(NoInterference):
-            sinr(layout, PropagationModel(3.0), Point(4.0, 4.0))
-
-    def test_noise_allows_single_station(self):
-        layout = make_layout([[5, 5]])
-        m = PropagationModel(3.0, thermal_noise=1e-3)
-        assert sinr(layout, m, Point(4.0, 5.0)) == pytest.approx(1e3, rel=1e-12)
+            sinr(layout, 3.0, Point(4.0, 4.0))
+        with pytest.raises(NoInterference):
+            sinr_field(layout, [3.0], UserSet(points=np.array([[4.0, 4.0]]),
+                                              exclusion_radius=0.01))
 
     def test_adding_interferer_never_helps(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             pts = rng.random((6, 2)) * 10.0
             u = Point(*(rng.random(2) * 10.0))
-            m = PropagationModel(3.2)
-            if best_server(make_layout(pts), u) == 5:
+            layout = make_layout(pts)
+            if np.argmin(torus_distance_matrix(layout.region, np.array([[u.x, u.y]]), pts)) == 5:
                 continue  # removed station was the server, not an interferer
-            with_extra = sinr(make_layout(pts), m, u)
-            without = sinr(make_layout(pts[:-1]), m, u)
+            with_extra = sinr(layout, 3.2, u)
+            without = sinr(make_layout(pts[:-1]), 3.2, u)
             assert with_extra <= without + 1e-15
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(19)
         pts = rng.random((8, 2)) * 10.0
         u = Point(3.3, 7.1)
-        m = PropagationModel(3.4)
-        base = sinr(make_layout(pts), m, u)
+        base = sinr(make_layout(pts), 3.4, u)
         lam = 37.5
         scaled_layout = make_layout(pts * lam, width=10.0 * lam, height=10.0 * lam)
-        scaled = sinr(scaled_layout, m, Point(u.x * lam, u.y * lam))
+        scaled = sinr(scaled_layout, 3.4, Point(u.x * lam, u.y * lam))
         assert scaled == pytest.approx(base, rel=1e-10)
 
     def test_torus_shift_invariance(self):
@@ -127,9 +98,8 @@ class TestSinr:
         pts = rng.random((8, 2)) * 10.0
         u = np.array([3.3, 7.1])
         shift = np.array([6.1, 8.7])
-        m = PropagationModel(3.0)
-        base = sinr(make_layout(pts), m, Point(*u))
-        moved = sinr(make_layout((pts + shift) % 10.0), m, Point(*((u + shift) % 10.0)))
+        base = sinr(make_layout(pts), 3.0, Point(*u))
+        moved = sinr(make_layout((pts + shift) % 10.0), 3.0, Point(*((u + shift) % 10.0)))
         assert moved == pytest.approx(base, rel=1e-10)
 
 
@@ -138,19 +108,17 @@ class TestSinrField:
         rng = np.random.default_rng(29)
         layout = make_layout(rng.random((10, 2)) * 10.0)
         ue = rng.random((20, 2)) * 10.0
-        m = PropagationModel(3.1)
         users = UserSet(points=ue, exclusion_radius=1e-9)
-        field = sinr_field(layout, [m], users)[0]
+        field = sinr_field(layout, [3.1], users)[0]
         for i, (x, y) in enumerate(ue):
-            assert field[i] == pytest.approx(sinr(layout, m, Point(x, y)), rel=1e-12)
+            assert field[i] == pytest.approx(sinr(layout, 3.1, Point(x, y)), rel=1e-12)
 
     def test_exclusion_clamp_caps_peak_sinr(self):
         layout = make_layout([[5, 5], [1, 1], [9, 9]])
-        m = PropagationModel(3.0)
         ue = np.array([[5.0, 5.0], [5.0001, 5.0]])  # on top of / nearly on a station
         users = UserSet(points=ue, exclusion_radius=0.01)
-        field = sinr_field(layout, [m], users)[0]
-        clamped = sinr(layout, m, Point(5.01, 5.0))
+        field = sinr_field(layout, [3.0], users)[0]
+        clamped = sinr(layout, 3.0, Point(5.01, 5.0))
         assert field[0] == pytest.approx(clamped, rel=1e-9)
         assert np.all(np.isfinite(field))
 
@@ -158,25 +126,22 @@ class TestSinrField:
         rng = np.random.default_rng(31)
         layout = make_layout(rng.random((12, 2)) * 10.0)
         users = UserSet(points=rng.random((40, 2)) * 10.0, exclusion_radius=0.3)
-        models = [PropagationModel(2.4), PropagationModel(3.3, path_gain_constant=2.0),
-                  PropagationModel(4.1, tx_power=0.5, thermal_noise=1e-6)]
-        field = sinr_field(layout, models, users)
+        etas = [2.4, 3.3, 4.1]
+        field = sinr_field(layout, etas, users)
         assert field.shape == (3, 40)
-        for row, m in zip(field, models):
-            assert np.array_equal(row, sinr_field(layout, [m], users)[0])
+        for row, eta in zip(field, etas):
+            assert np.array_equal(row, sinr_field(layout, [eta], users)[0])
 
     def test_independent_of_worker_count(self, worker_count):
         # row blocks decide only which thread computes a row, never its arithmetic
         rng = np.random.default_rng(37)
         layout = make_layout(rng.random((50, 2)) * 10.0)
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
-        models = [PropagationModel(2.4), PropagationModel(3.3, path_gain_constant=2.0),
-                  PropagationModel(4.1, tx_power=0.5, thermal_noise=1e-6)]
         assert 2001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
         fields = []
         for workers in (1, 2, 3):
             worker_count(workers)
-            fields.append(sinr_field(layout, models, users))
+            fields.append(sinr_field(layout, [2.4, 3.3, 4.1], users))
         assert all(np.array_equal(fields[0], f) for f in fields[1:])
 
 
@@ -201,7 +166,6 @@ class TestMonteCarlo:
         from fluidnet.sinr import draw_user_set
         users = draw_user_set(layout.region, cfg.users, cfg.seed,
                               cfg.exclusion * cfg.effective_half_isd)
-        m = PropagationModel(3.0)
         # independent oracle: python-loop summation over the full grid
         for i, (x, y) in enumerate(users.points):
             dists = np.array([torus_distance(layout.region, Point(x, y), Point(*st))
