@@ -2,13 +2,12 @@
 
 from .config import ExperimentConfig
 from .fluid import (FluidCdf, FluidModel, average_cell_throughput,
-                    cell_edge_throughput, fluid_sinr, normalized_sinr,
-                    spectral_efficiency)
-from .geometry import Point, TorusRegion, torus_distance
+                    cell_edge_throughput, fluid_sinr, spectral_efficiency)
+from .geometry import TorusRegion
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
                         generate_poisson, hexagonal_density,
                         region_for_expected_count)
-from .sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr, sinr_field
+from .sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr_field
 from .stats import (CANONICAL_FIT, EmpiricalCdf, FitCoefficients, ShiftFit,
                     cdf_curve_correlation, correlation_coefficient,
                     empirical_cdf, fit_linear, mean_horizontal_shift)
@@ -17,12 +16,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CANONICAL_FIT", "EmpiricalCdf", "ExperimentConfig", "FitCoefficients",
-    "FluidCdf", "FluidModel", "ModelKind", "NetworkLayout", "Point",
-    "ShiftFit", "TorusRegion", "UserSet", "average_cell_throughput",
-    "cdf_curve_correlation", "cell_edge_throughput", "correlation_coefficient",
-    "empirical_cdf", "fit_linear", "fluid_sinr",
-    "generate_hexagonal", "generate_poisson", "hexagonal_density",
-    "mean_horizontal_shift", "monte_carlo_sweep", "normalized_sinr",
-    "region_for_expected_count", "run_monte_carlo", "sinr", "sinr_field",
-    "spectral_efficiency", "torus_distance",
+    "FluidCdf", "FluidModel", "ModelKind", "NetworkLayout", "ShiftFit",
+    "TorusRegion", "UserSet", "average_cell_throughput", "cdf_curve_correlation",
+    "cell_edge_throughput", "correlation_coefficient", "empirical_cdf",
+    "fit_linear", "fluid_sinr", "generate_hexagonal", "generate_poisson",
+    "hexagonal_density", "mean_horizontal_shift", "monte_carlo_sweep",
+    "region_for_expected_count", "run_monte_carlo", "sinr_field",
+    "spectral_efficiency",
 ]

@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", help="comma-separated path-loss exponents")
         p.add_argument("--runs", type=int)
         p.add_argument("--users", type=int)
-        p.add_argument("--density-scale", type=float, dest="density_scale")
         p.add_argument("--rings", type=int)
 
     p_gen = sub.add_parser("generate", help="write a station layout CSV")
@@ -76,7 +75,7 @@ def config_from_args(args) -> ExperimentConfig:
     mapping = load_config_file(args.config) if args.config else {}
     cfg = config_from_mapping(mapping)
     overrides = {}
-    for key in ("seed", "runs", "users", "density_scale", "rings"):
+    for key in ("seed", "runs", "users", "rings"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -115,7 +114,7 @@ def _make_dir(out: Path) -> Path:
 def cmd_generate(args) -> int:
     config = config_from_args(args)
     out = _out_dir(args)
-    r = config.effective_half_isd
+    r = config.half_isd
     if args.model == "hex":
         layout = generate_hexagonal(r, config.rings, seed=config.seed)
     else:

@@ -5,7 +5,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .placement import hexagonal_density
 
 DEFAULT_ETAS = tuple(round(2.2 + 0.2 * i, 1) for i in range(11))
 
@@ -21,7 +22,6 @@ class ExperimentConfig:
     users: int = 2000
     seed: int = 1
     exclusion: float = 0.01
-    density_scale: float = 1.0
     rings: int = 3
 
     def validate(self) -> "ExperimentConfig":
@@ -30,8 +30,10 @@ class ExperimentConfig:
             raise ConfigError("every real-valued setting must be finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.half_isd <= 0:
-            raise ConfigError("half_isd must be positive")
+        try:
+            hexagonal_density(self.half_isd)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if self.expected_stations <= 0:
             raise ConfigError("expected_stations must be positive")
         if not self.eta_list:
@@ -42,16 +44,9 @@ class ExperimentConfig:
             raise ConfigError("runs and users must be >= 1")
         if not 0 < self.exclusion < 1:
             raise ConfigError("exclusion must lie in (0, 1)")
-        if self.density_scale <= 0:
-            raise ConfigError("density_scale must be positive")
         if self.rings < 1:
             raise ConfigError("rings must be >= 1")
         return self
-
-    @property
-    def effective_half_isd(self) -> float:
-        """Half inter-site distance after density scaling (rho scales as 1/R^2)."""
-        return self.half_isd / self.density_scale**0.5
 
     def canonical_items(self):
         for f in fields(self):

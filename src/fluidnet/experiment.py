@@ -18,7 +18,7 @@ from .stats import (CANONICAL_FIT, EmpiricalCdf, ShiftFit, cdf_curve_correlation
 
 
 def fluid_model_for(config: ExperimentConfig, eta: float) -> FluidModel:
-    return FluidModel(half_isd=config.effective_half_isd, eta=eta)
+    return FluidModel(half_isd=config.half_isd, eta=eta)
 
 
 def fluid_cdf_for(config: ExperimentConfig, eta: float, shift_db: float = 0.0) -> FluidCdf:

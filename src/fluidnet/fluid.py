@@ -59,16 +59,6 @@ def fluid_sinr(m: FluidModel, r):
                             * r ** (-m.eta) * (2 * rc - r) ** (m.eta - 2))
 
 
-def normalized_sinr(eta: float, x: float) -> float:
-    """Density-free SINR profile in the relative distance x = r / R_c."""
-    if eta <= 2:
-        raise DomainError("path loss exponent must exceed 2")
-    if not 0 < x < 2:
-        raise DomainError("x must lie in (0, 2)")
-    return (6.0 / math.sqrt(3.0)) * (eta - 2) / (2 * math.pi) \
-        * x ** (-eta) * (2 - x) ** (eta - 2)
-
-
 def fluid_sinr_db(m: FluidModel, r):
     return _float_if_scalar(10.0 * np.log10(fluid_sinr(m, r)))
 

@@ -6,7 +6,6 @@ virtually infinite network.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,28 +29,6 @@ class TorusRegion:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-
-def _axis_delta(a, b, period):
-    d = np.abs(a - b) % period
-    return np.minimum(d, period - d)
-
-
-def torus_distance(region: TorusRegion, p: Point, q: Point) -> float:
-    """Shortest distance between two points on the torus.
-
-    Equals the minimum over the 9 periodic images; computed per axis
-    since the rectangle is axis-aligned.
-    """
-    dx = _axis_delta(p.x, q.x, region.width)
-    dy = _axis_delta(p.y, q.y, region.height)
-    return math.hypot(dx, dy)
-
-
 def _wrapped_axis_delta(a, b, period, out, scratch):
     # Writes the nearest-image |a - b| into out; scratch is overwritten.
     # For wrapped coordinates |a - b| lies in [0, period]. There `% period` is
@@ -64,7 +41,7 @@ def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray) -> 
     """Pairwise toroidal distances between point arrays a (n,2) and b (m,2).
 
     Both arrays must hold wrapped coordinates, x in [0, width] and y in
-    [0, height]; unlike torus_distance, points are not reduced first.
+    [0, height]; points are not reduced modulo the period first.
     Row blocks of the result are computed on separate threads.
     """
     shape = (len(a), len(b))

@@ -31,10 +31,20 @@ class ModelKind(str, enum.Enum):
 
 
 def hexagonal_density(half_isd: float) -> float:
-    """Station density of a triangular lattice with inter-site distance 2*half_isd."""
+    """Station density of a triangular lattice with inter-site distance 2*half_isd.
+
+    Raises DomainError unless the density is a positive finite float.
+    """
     if half_isd <= 0:
         raise DomainError("half_isd must be positive")
-    return SQRT3 / (6.0 * half_isd**2)
+    try:
+        density = SQRT3 / (6.0 * half_isd**2)
+    except (OverflowError, ZeroDivisionError):  # half_isd**2 overflows, or underflows to 0
+        density = math.nan
+    if not 0 < density < math.inf:
+        raise DomainError(f"half_isd = {half_isd!r} gives a station density "
+                          "outside the float range")
+    return density
 
 
 @dataclass(frozen=True)
@@ -68,52 +78,24 @@ def region_for_expected_count(half_isd: float, expected_count: float) -> TorusRe
     return TorusRegion(side, side)
 
 
-def generate_hexagonal(half_isd: float, rings: int, seed: int = 0,
-                       fill_region: bool = False) -> NetworkLayout:
-    """Triangular lattice layout.
+def generate_hexagonal(half_isd: float, rings: int, seed: int = 0) -> NetworkLayout:
+    """Triangular lattice layout that tiles the torus.
 
-    With fill_region=False (default) the layout is the hexagonal patch of
-    1 + 3*rings*(rings+1) stations centered in a torus large enough that
-    no wrap image comes closer than the lattice spacing.
-
-    With fill_region=True the torus is tiled exactly by a
-    (2*rings+1) x (2*rings+2) lattice with offset rows, so every station
-    has exactly 6 neighbours at distance 2*half_isd under the torus
-    metric (an edge-free hexagonal reference network).
+    The torus holds a (2*rings+1) x (2*rings+2) lattice with offset rows,
+    so every station has exactly 6 neighbours at distance 2*half_isd under
+    the torus metric (an edge-free hexagonal reference network).
     """
     if rings < 1:
         raise InsufficientStations("rings must be >= 1 for interference analysis")
-    if half_isd <= 0:
-        raise DomainError("half_isd must be positive")
+    density = hexagonal_density(half_isd)
     r = float(half_isd)
-
-    if fill_region:
-        cols = 2 * rings + 1
-        rows = 2 * rings + 2  # even row count keeps the offset pattern wrap-compatible
-        region = TorusRegion(cols * 2.0 * r, rows * SQRT3 * r)
-        pts = []
-        for j in range(rows):
-            x0 = r if j % 2 else 0.0
-            for i in range(cols):
-                pts.append((x0 + i * 2.0 * r, j * SQRT3 * r))
-        stations = np.array(pts)
-    else:
-        k = rings
-        region = TorusRegion((2 * k + 2) * 2.0 * r, (2 * k + 2) * SQRT3 * r)
-        cx, cy = region.width / 2.0, region.height / 2.0
-        pts = []
-        # hexagon of lattice sites: basis (2r, 0) and (r, sqrt(3) r)
-        for i in range(-k, k + 1):
-            for j in range(-k, k + 1):
-                if abs(i + j) > k:
-                    continue
-                pts.append((cx + i * 2.0 * r + j * r, cy + j * SQRT3 * r))
-        stations = np.array(pts)
-
-    stations[:, 0] %= region.width
-    stations[:, 1] %= region.height
+    cols = 2 * rings + 1
+    rows = 2 * rings + 2  # even row count keeps the offset pattern wrap-compatible
+    region = TorusRegion(cols * 2.0 * r, rows * SQRT3 * r)
+    stations = np.array([((r if j % 2 else 0.0) + i * 2.0 * r, j * SQRT3 * r)
+                         for j in range(rows) for i in range(cols)])
     return NetworkLayout(region=region, stations=stations, model=ModelKind.HEXAGONAL,
-                         density=hexagonal_density(r), seed=seed)
+                         density=density, seed=seed)
 
 
 def generate_poisson(region: TorusRegion, density: float, seed: int) -> NetworkLayout:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """PCG64 generator for the sub-stream identified by (seed, *stream)."""
@@ -36,7 +38,10 @@ def poisson_variate(rng: np.random.Generator, mean: float) -> int:
     if mean <= 0:
         raise ValueError("Poisson mean must be positive")
     if mean > _SEQUENTIAL_MEAN_LIMIT:
-        return int(rng.poisson(mean))
+        try:
+            return int(rng.poisson(mean))
+        except ValueError as exc:  # numpy refuses means above about 9.2e18
+            raise DomainError(f"Poisson mean {mean:g} is too large to draw") from exc
     u = rng.random()
     k = 0
     p = math.exp(-mean)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import DomainError, NoInterference
-from .geometry import Point, TorusRegion, torus_distance_matrix, wrapped_displacement
+from .geometry import TorusRegion, torus_distance_matrix, wrapped_displacement
 from .parallel import map_row_blocks
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
                         generate_poisson, hexagonal_density,
@@ -34,22 +34,6 @@ class UserSet:
 
     points: np.ndarray  # (n, 2)
     exclusion_radius: float
-
-
-def _check_sinr_domain(layout: NetworkLayout, etas: Sequence[float]):
-    if not all(eta > 2 for eta in etas):
-        raise DomainError("path loss exponent must exceed 2")
-    if layout.n_stations < 2:
-        raise NoInterference("SINR needs at least 2 stations")
-
-
-def sinr(layout: NetworkLayout, eta: float, u: Point) -> float:
-    """Linear SINR of a single user against a layout (no repositioning)."""
-    _check_sinr_domain(layout, (eta,))
-    d = torus_distance_matrix(layout.region, np.array([[u.x, u.y]]), layout.stations)[0]
-    gains = d ** -eta
-    i = int(np.argmin(d))
-    return gains[i] / (gains.sum() - gains[i])
 
 
 def draw_user_set(region: TorusRegion, n: int, seed: int, exclusion_radius: float) -> UserSet:
@@ -91,7 +75,10 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
     once for all path-loss exponents; the per-eta reduction runs on row
     blocks in separate threads.
     """
-    _check_sinr_domain(layout, etas)
+    if not all(eta > 2 for eta in etas):
+        raise DomainError("path loss exponent must exceed 2")
+    if layout.n_stations < 2:
+        raise NoInterference("SINR needs at least 2 stations")
     ue = users.points.astype(float).copy()
     d = torus_distance_matrix(layout.region, ue, layout.stations)
     d = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
@@ -128,9 +115,9 @@ def monte_carlo_sweep(config: ExperimentConfig,
     """
     config.validate()
     etas = list(dict.fromkeys(config.eta_list))
-    r = config.effective_half_isd
+    r = config.half_isd
     if model_kind is ModelKind.HEXAGONAL:
-        hexagonal = generate_hexagonal(r, config.rings, seed=config.seed, fill_region=True)
+        hexagonal = generate_hexagonal(r, config.rings, seed=config.seed)
         region, runs = hexagonal.region, 1
     else:
         region, runs = region_for_expected_count(r, config.expected_stations), config.runs

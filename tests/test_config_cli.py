@@ -1,7 +1,10 @@
+import argparse
 import filecmp
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,8 @@ from fluidnet.config import (DEFAULT_ETAS, ExperimentConfig, config_from_mapping
                              load_config_file, parse_float_list)
 from fluidnet.errors import ConfigError
 from fluidnet.fluid import FluidCdf, FluidModel
+from fluidnet.geometry import TorusRegion, torus_distance_matrix
+from fluidnet.placement import generate_hexagonal
 
 
 class TestConfig:
@@ -31,13 +36,14 @@ class TestConfig:
         {"users": 0},
         {"exclusion": 0.0},
         {"exclusion": 1.0},
-        {"density_scale": 0.0},
+        {"half_isd": 1e-300},
         {"half_isd": -1.0},
         {"rings": 0},
         {"eta_list": (float("nan"), 3.0)},
         {"eta_list": (3.0, float("inf"))},
-        {"density_scale": float("nan")},
+        {"half_isd": float("nan")},
         {"seed": -1},
+        {"half_isd": 1e160},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -50,10 +56,6 @@ class TestConfig:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
         assert len(a.digest()) == 12
-
-    def test_effective_half_isd(self):
-        cfg = ExperimentConfig(density_scale=4.0)
-        assert cfg.effective_half_isd == pytest.approx(0.5)
 
     def test_parse_eta_list(self):
         assert parse_float_list("2.6,2.8, 3.0") == (2.6, 2.8, 3.0)
@@ -84,11 +86,27 @@ class TestConfig:
         path.write_text("runs = many\n")
         with pytest.raises(ConfigError):
             config_from_mapping(load_config_file(path))
-        # the Monte Carlo-only power and noise keys are gone: the fluid side never had them
-        for key in ("noise_w", "tx_power_w", "path_gain_k"):
+        # removed keys: the Monte Carlo-only power and noise keys, which the fluid side
+        # never had, and density_scale, which only divided half_isd
+        for key in ("noise_w", "tx_power_w", "path_gain_k", "density_scale"):
             path.write_text(f"{key} = 1\n")
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config_from_mapping(load_config_file(path))
+
+
+def test_readme_lists_config_keys_and_shared_flags():
+    # the README's lists of config keys and of the flags every command takes
+    # must name exactly what the code accepts
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = re.search(r"config file keys are ([^.]*)\.", text).group(1)
+    assert set(re.findall(r"`(\w+)`", keys)) == {f.name for f in fields(ExperimentConfig)}
+    flags = re.search(r"All commands share ([^.]*)\.", text).group(1)
+    documented = {token.split()[0] for token in re.findall(r"`(--[^`]+)`", flags)}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    shared = set.intersection(*(set(p._option_string_actions)
+                                for p in subparsers.choices.values()))
+    assert documented == shared - {"-h", "--help"}
 
 
 def read_rows(path):
@@ -105,11 +123,22 @@ class TestCli:
         assert filecmp.cmp(d1 / "layout_0.csv", d2 / "layout_0.csv", shallow=False)
 
     def test_generate_hex_rings_two(self, tmp_path):
+        # the file holds the lattice that cdf --model hex and report measure
         assert main(["generate", "--model", "hex", "--rings", "2",
                      "--out", str(tmp_path)]) == 0
-        header, rows = read_rows(tmp_path / "layout_0.csv")
+        path = tmp_path / "layout_0.csv"
+        header, rows = read_rows(path)
         assert header == ["bs_id", "x", "y"]
-        assert len(rows) == 19
+        assert len(rows) == 30
+        comments = dict(l[2:].split("=", 1) for l in path.read_text().splitlines()
+                        if l.startswith("# "))
+        region = TorusRegion(float(comments["width"]), float(comments["height"]))
+        stations = np.array([[float(r[1]), float(r[2])] for r in rows])
+        d = torus_distance_matrix(region, stations, stations)
+        assert np.all(np.sum(np.abs(d - 2.0) < 1e-9, axis=1) == 6)
+        expected = generate_hexagonal(ExperimentConfig().half_isd, 2)
+        assert np.array_equal(stations, expected.stations)
+        assert (region.width, region.height) == (expected.region.width, expected.region.height)
 
     def test_generate_poisson_default_count(self, tmp_path):
         assert main(["generate", "--model", "poisson", "--out", str(tmp_path)]) == 0
@@ -148,9 +177,32 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "dup").exists()
 
-    def test_nan_density_scale_exits_2(self, tmp_path):
-        assert main(["cdf", "--model", "poisson", "--density-scale", "nan",
-                     "--out", str(tmp_path)]) == 2
+    def test_nan_half_isd_exits_2(self, tmp_path):
+        conf = tmp_path / "nan.conf"
+        conf.write_text("half_isd = nan\n")
+        assert main(["cdf", "--model", "poisson", "--config", str(conf),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting, code", [
+        ("half_isd = 1e-300", 2), ("half_isd = 1e160", 2), ("half_isd = 1e300", 2),
+        ("expected_stations = 1e30", 3),
+    ], ids=["half_isd=1e-300", "half_isd=1e160", "half_isd=1e300", "expected_stations=1e30"])
+    def test_extreme_config_value_exits_cleanly(self, tmp_path, setting, code):
+        # a half_isd whose lattice density leaves the float range is a bad config;
+        # a Poisson mean numpy cannot draw fails the run. Either way: one error
+        # line, no traceback and no --out
+        conf = tmp_path / "extreme.conf"
+        conf.write_text(setting + "\n")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "fluidnet.cli", "cdf", "--model",
+                                 "poisson", "--config", str(conf), "--runs", "1",
+                                 "--users", "10", "--out", str(out)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == code
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_outage_thresholds_exit_2(self, tmp_path):
         assert main(["report", "--eta", "2.8,3.0", "--outage-thresholds", "abc",
@@ -243,12 +295,14 @@ class TestCli:
         assert not out.exists()
 
     def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
+        conf = tmp_path / "half.conf"
+        conf.write_text("half_isd = 0.5\n")
+        out = tmp_path / "out"
         assert main(["report", "--eta", "2.3,3.0,5.5", "--runs", "1", "--users", "50",
-                     "--density-scale", "4", "--out", str(tmp_path)]) == 0
-        half_isd = ExperimentConfig(density_scale=4.0).effective_half_isd
+                     "--config", str(conf), "--out", str(out)]) == 0
         for eta in (2.3, 3.0, 5.5):
-            _, rows = read_rows(tmp_path / f"fluid_curve_eta{eta:g}.csv")
-            cdf = FluidCdf(FluidModel(half_isd=half_isd, eta=eta), 0.01)
+            _, rows = read_rows(out / f"fluid_curve_eta{eta:g}.csv")
+            cdf = FluidCdf(FluidModel(half_isd=0.5, eta=eta), 0.01)
             sinr_db, written = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
             assert np.max(np.abs(written - cdf.evaluate(sinr_db))) <= 1e-9
 
@@ -262,9 +316,11 @@ class TestCli:
     def test_cli_import_and_one_row_start_no_thread_pool(self):
         # set-up pays for no threads: concurrent.futures and the pool load on the first split
         code = ("import sys, fluidnet.cli\n"
-                "from fluidnet import Point, generate_hexagonal, parallel, sinr\n"
+                "import numpy as np\n"
+                "from fluidnet import UserSet, generate_hexagonal, parallel, sinr_field\n"
                 "imported = 'concurrent.futures' in sys.modules\n"
-                "sinr(generate_hexagonal(1.0, 2), 3.0, Point(0.1, 0.2))\n"
+                "users = UserSet(np.array([[0.1, 0.2]]), 0.0)\n"
+                "sinr_field(generate_hexagonal(1.0, 2), [3.0], users)\n"
                 "print(imported, 'concurrent.futures' in sys.modules, parallel._pool)")
         env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

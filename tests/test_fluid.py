@@ -9,10 +9,10 @@ from fluidnet.errors import DomainError
 from fluidnet.experiment import fluid_cdf_for
 from fluidnet.fluid import (FluidCdf, FluidModel, average_cell_throughput,
                             cell_edge_throughput, fluid_sinr, fluid_sinr_db,
-                            invert_sinr_db, mean_cell_radius, normalized_sinr,
-                            spectral_efficiency)
+                            invert_sinr_db, mean_cell_radius, spectral_efficiency)
 from fluidnet.placement import hexagonal_density
 from fluidnet.stats import CANONICAL_FIT
+from oracles import normalized_sinr
 
 SQRT3 = math.sqrt(3.0)
 
@@ -222,8 +222,10 @@ class TestThroughput:
 
 
 def test_model_validation():
-    with pytest.raises(DomainError):
-        FluidModel(half_isd=0.0, eta=3.0)
+    # a half_isd whose lattice density is 0, inf or nan in float64 is refused too
+    for half_isd in (0.0, 1e-300, 1e-160, 1e160, float("nan")):
+        with pytest.raises(DomainError):
+            FluidModel(half_isd=half_isd, eta=3.0)
     with pytest.raises(DomainError):
         FluidModel(half_isd=1.0, eta=2.0)
     assert FluidModel(half_isd=1.0, eta=3.0).density == pytest.approx(SQRT3 / 6.0)

@@ -5,23 +5,38 @@ import pytest
 
 from fluidnet import parallel
 from fluidnet.errors import DomainError
-from fluidnet.geometry import (Point, TorusRegion, _axis_delta, torus_distance,
-                               torus_distance_matrix, wrapped_displacement)
+from fluidnet.geometry import TorusRegion, torus_distance_matrix, wrapped_displacement
+from oracles import Point, axis_delta, image_distance, torus_distance
 
 UNIT = TorusRegion(1.0, 1.0)
 
 
+def distance(region, p, q):
+    return torus_distance_matrix(region, np.array([p], dtype=float),
+                                 np.array([q], dtype=float))[0, 0]
+
+
+def random_tuples(rng, region, n, k):
+    """n tuples of k random points, as k arrays of shape (n, 2), drawn point by point."""
+    return (rng.random((n, k, 2)) * [region.width, region.height]).transpose(1, 0, 2)
+
+
+def pairwise(region, a, b):
+    """The distance of each pair (a[i], b[i])."""
+    return torus_distance_matrix(region, a, b).diagonal()
+
+
 def test_wraparound_distance():
-    assert torus_distance(UNIT, Point(0.0, 0.0), Point(0.9, 0.0)) == pytest.approx(0.1)
+    assert distance(UNIT, [0.0, 0.0], [0.9, 0.0]) == pytest.approx(0.1)
 
 
 def test_identity_distance():
-    assert torus_distance(UNIT, Point(0.5, 0.5), Point(0.5, 0.5)) == 0.0
+    assert distance(UNIT, [0.5, 0.5], [0.5, 0.5]) == 0.0
 
 
 def test_nine_image_minimum():
     # by hand: dx = min(0.7, 0.3) = 0.3, dy = min(0.8, 0.2) = 0.2
-    d = torus_distance(UNIT, Point(0.1, 0.1), Point(0.8, 0.9))
+    d = distance(UNIT, [0.1, 0.1], [0.8, 0.9])
     assert d == pytest.approx(math.sqrt(0.3**2 + 0.2**2), abs=1e-12)
     assert d == pytest.approx(0.36055512754639896, abs=1e-12)
 
@@ -29,37 +44,27 @@ def test_nine_image_minimum():
 def test_matches_explicit_image_enumeration():
     rng = np.random.default_rng(7)
     region = TorusRegion(2.5, 1.3)
-    for _ in range(200):
-        p = Point(*(rng.random(2) * [region.width, region.height]))
-        q = Point(*(rng.random(2) * [region.width, region.height]))
-        images = [
-            math.hypot(p.x - (q.x + i * region.width), p.y - (q.y + j * region.height))
-            for i in (-1, 0, 1) for j in (-1, 0, 1)
-        ]
-        assert torus_distance(region, p, q) == pytest.approx(min(images), abs=1e-12)
+    a, b = random_tuples(rng, region, 200, 2)
+    expected = [[image_distance(region, Point(*p), Point(*q)) for q in b] for p in a]
+    assert np.max(np.abs(torus_distance_matrix(region, a, b) - expected)) <= 1e-12
 
 
 def test_distance_symmetric_and_bounded():
     rng = np.random.default_rng(11)
     region = TorusRegion(3.0, 2.0)
     bound = math.hypot(region.width / 2, region.height / 2)
-    for _ in range(300):
-        p = Point(*(rng.random(2) * [region.width, region.height]))
-        q = Point(*(rng.random(2) * [region.width, region.height]))
-        d = torus_distance(region, p, q)
-        assert d == torus_distance(region, q, p)
-        assert 0.0 <= d <= bound + 1e-12
+    a, b = random_tuples(rng, region, 300, 2)
+    d = torus_distance_matrix(region, a, b)
+    assert np.array_equal(d, torus_distance_matrix(region, b, a).T)
+    assert np.all((d >= 0.0) & (d <= bound + 1e-12))
 
 
 def test_triangle_inequality():
     rng = np.random.default_rng(13)
     region = TorusRegion(1.7, 2.9)
-    for _ in range(300):
-        pts = [Point(*(rng.random(2) * [region.width, region.height])) for _ in range(3)]
-        a = torus_distance(region, pts[0], pts[1])
-        b = torus_distance(region, pts[1], pts[2])
-        c = torus_distance(region, pts[0], pts[2])
-        assert c <= a + b + 1e-12
+    a, b, c = random_tuples(rng, region, 300, 3)
+    ab, bc, ac = pairwise(region, a, b), pairwise(region, b, c), pairwise(region, a, c)
+    assert np.all(ac <= ab + bc + 1e-12)
 
 
 def test_distance_matrix_matches_scalar():
@@ -81,8 +86,8 @@ def test_distance_matrix_bit_identical_to_modulo_form():
     w, h = region.width, region.height
     edges = [[0.0, 0.0], [w, h], [0.0, h], [w, 0.0], [w / 2, 0.0], [0.0, h / 2]]
     pts = np.vstack([rng.random((300, 2)) * [w, h], edges])
-    expected = np.hypot(_axis_delta(pts[:, 0:1], pts[None, :, 0], w),
-                        _axis_delta(pts[:, 1:2], pts[None, :, 1], h))
+    expected = np.hypot(axis_delta(pts[:, 0:1], pts[None, :, 0], w),
+                        axis_delta(pts[:, 1:2], pts[None, :, 1], h))
     assert np.array_equal(torus_distance_matrix(region, pts, pts), expected)
 
 
@@ -93,8 +98,8 @@ def test_distance_matrix_independent_of_worker_count(worker_count):
     w, h = region.width, region.height
     a = rng.random((1001, 2)) * [w, h]
     b = rng.random((37, 2)) * [w, h]
-    expected = np.hypot(_axis_delta(a[:, 0:1], b[None, :, 0], w),
-                        _axis_delta(a[:, 1:2], b[None, :, 1], h))
+    expected = np.hypot(axis_delta(a[:, 0:1], b[None, :, 0], w),
+                        axis_delta(a[:, 1:2], b[None, :, 1], h))
     assert 1001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
     for workers in (1, 2, 3):
         worker_count(workers)

@@ -15,9 +15,10 @@ SQRT3 = math.sqrt(3.0)
 
 class TestHexagonal:
     def test_ring_counts(self):
-        assert generate_hexagonal(1.0, 1).n_stations == 7
-        assert generate_hexagonal(1.0, 2).n_stations == 19
-        assert generate_hexagonal(1.0, 4).n_stations == 61
+        # a (2k+1) x (2k+2) lattice
+        assert generate_hexagonal(1.0, 1).n_stations == 12
+        assert generate_hexagonal(1.0, 2).n_stations == 30
+        assert generate_hexagonal(1.0, 4).n_stations == 90
 
     def test_rings_zero_rejected(self):
         with pytest.raises(InsufficientStations):
@@ -28,17 +29,10 @@ class TestHexagonal:
         assert layout.density == pytest.approx(SQRT3 / 24.0, rel=1e-12)
         assert layout.model is ModelKind.HEXAGONAL
 
-    def test_patch_nearest_neighbour_distance(self):
-        # exhaustive pairwise check: lattice spacing survives the wrap
-        layout = generate_hexagonal(1.0, 4)
-        d = torus_distance_matrix(layout.region, layout.stations, layout.stations)
-        np.fill_diagonal(d, np.inf)
-        assert layout.n_stations == 61
-        assert np.allclose(d.min(axis=1), 2.0, atol=1e-9)
-
-    @pytest.mark.parametrize("rings", [1, 2, 3])
+    @pytest.mark.parametrize("rings", [1, 2, 3, 4])
     def test_filled_lattice_six_neighbours(self, rings):
-        layout = generate_hexagonal(1.0, rings, fill_region=True)
+        # exhaustive pairwise check: lattice spacing survives the wrap
+        layout = generate_hexagonal(1.0, rings)
         d = torus_distance_matrix(layout.region, layout.stations, layout.stations)
         np.fill_diagonal(d, np.inf)
         for i in range(layout.n_stations):
@@ -47,7 +41,7 @@ class TestHexagonal:
             assert d[i].min() >= 2.0 - 1e-9
 
     def test_filled_lattice_density_consistent(self):
-        layout = generate_hexagonal(1.5, 2, fill_region=True)
+        layout = generate_hexagonal(1.5, 2)
         assert layout.n_stations / layout.region.area() == pytest.approx(
             hexagonal_density(1.5), rel=1e-12)
 

@@ -1,24 +1,28 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fluidnet import parallel
+from fluidnet import sinr as SINR_MODULE
 from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError, NoInterference
-from fluidnet.geometry import Point, TorusRegion, torus_distance, torus_distance_matrix
+from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
-from fluidnet.sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr, sinr_field
-
-# the package attribute fluidnet.sinr is the function sinr, not the module
-SINR_MODULE = importlib.import_module("fluidnet.sinr")
+from fluidnet.sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr_field
+from oracles import Point, brute_force_sinr
 
 
 def make_layout(stations, width=10.0, height=10.0):
     return NetworkLayout(region=TorusRegion(width, height),
                          stations=np.asarray(stations, dtype=float),
                          model=ModelKind.POISSON, density=1.0, seed=0)
+
+
+def one_user_sinr(layout, eta, u):
+    """The SINR of one user through sinr_field; a zero exclusion radius moves no one."""
+    return sinr_field(layout, [eta], UserSet(points=np.array([[u.x, u.y]]),
+                                             exclusion_radius=0.0))[0, 0]
 
 
 def server_and_interferer(distance):
@@ -30,46 +34,44 @@ class TestPathGain:
     # with one interferer the SINR is the gain ratio distance^eta / 1^eta
     def test_unit_case(self):
         layout, u = server_and_interferer(1.0)
-        assert sinr(layout, 2.000001, u) == pytest.approx(1.0)
+        assert one_user_sinr(layout, 2.000001, u) == pytest.approx(1.0)
 
     def test_inverse_fourth_power(self):
         layout, u = server_and_interferer(2.0)
-        assert sinr(layout, 4.0, u) == pytest.approx(16.0, rel=1e-12)
+        assert one_user_sinr(layout, 4.0, u) == pytest.approx(16.0, rel=1e-12)
 
     def test_general_value(self):
         layout, u = server_and_interferer(1.7)
         # frozen from direct evaluation of 1.7**3.5
-        assert sinr(layout, 3.5, u) == pytest.approx(6.405768283352122, rel=1e-12)
+        assert one_user_sinr(layout, 3.5, u) == pytest.approx(6.405768283352122, rel=1e-12)
 
     def test_eta_must_exceed_two(self):
         layout, u = server_and_interferer(2.0)
         users = UserSet(points=np.array([[u.x, u.y]]), exclusion_radius=0.01)
         for eta in (2.0, 1.5, float("nan")):
-            with pytest.raises(DomainError):
-                sinr(layout, eta, u)
-            with pytest.raises(DomainError):
-                sinr_field(layout, [3.0, eta], users)
+            for etas in ([eta], [3.0, eta]):
+                with pytest.raises(DomainError):
+                    sinr_field(layout, etas, users)
 
 
 class TestSinr:
     def test_equidistant_two_stations(self):
         layout = make_layout([[4, 5], [6, 5]])
         for eta in (2.5, 3.0, 4.0):
-            assert sinr(layout, eta, Point(5.0, 5.0)) == pytest.approx(1.0, rel=1e-12)
+            assert one_user_sinr(layout, eta, Point(5.0, 5.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_hand_computed_geometry(self):
         # serving at distance 1, interferers at 2 and 4, eta=2:
         # 1 / (1/4 + 1/16) = 3.2
         layout = make_layout([[5, 5], [5, 2], [5, 8]], width=20, height=20)
-        assert sinr(layout, 2.0001, Point(5.0, 4.0)) == pytest.approx(3.2, rel=1e-3)
+        assert one_user_sinr(layout, 2.0001, Point(5.0, 4.0)) == pytest.approx(3.2, rel=1e-3)
 
     def test_single_station_no_interference(self):
         layout = make_layout([[5, 5]])
-        with pytest.raises(NoInterference):
-            sinr(layout, 3.0, Point(4.0, 4.0))
-        with pytest.raises(NoInterference):
-            sinr_field(layout, [3.0], UserSet(points=np.array([[4.0, 4.0]]),
-                                              exclusion_radius=0.01))
+        for radius in (0.0, 0.01):
+            with pytest.raises(NoInterference):
+                sinr_field(layout, [3.0], UserSet(points=np.array([[4.0, 4.0]]),
+                                                  exclusion_radius=radius))
 
     def test_adding_interferer_never_helps(self):
         rng = np.random.default_rng(17)
@@ -79,18 +81,18 @@ class TestSinr:
             layout = make_layout(pts)
             if np.argmin(torus_distance_matrix(layout.region, np.array([[u.x, u.y]]), pts)) == 5:
                 continue  # removed station was the server, not an interferer
-            with_extra = sinr(layout, 3.2, u)
-            without = sinr(make_layout(pts[:-1]), 3.2, u)
+            with_extra = one_user_sinr(layout, 3.2, u)
+            without = one_user_sinr(make_layout(pts[:-1]), 3.2, u)
             assert with_extra <= without + 1e-15
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(19)
         pts = rng.random((8, 2)) * 10.0
         u = Point(3.3, 7.1)
-        base = sinr(make_layout(pts), 3.4, u)
+        base = one_user_sinr(make_layout(pts), 3.4, u)
         lam = 37.5
         scaled_layout = make_layout(pts * lam, width=10.0 * lam, height=10.0 * lam)
-        scaled = sinr(scaled_layout, 3.4, Point(u.x * lam, u.y * lam))
+        scaled = one_user_sinr(scaled_layout, 3.4, Point(u.x * lam, u.y * lam))
         assert scaled == pytest.approx(base, rel=1e-10)
 
     def test_torus_shift_invariance(self):
@@ -98,8 +100,9 @@ class TestSinr:
         pts = rng.random((8, 2)) * 10.0
         u = np.array([3.3, 7.1])
         shift = np.array([6.1, 8.7])
-        base = sinr(make_layout(pts), 3.0, Point(*u))
-        moved = sinr(make_layout((pts + shift) % 10.0), 3.0, Point(*((u + shift) % 10.0)))
+        base = one_user_sinr(make_layout(pts), 3.0, Point(*u))
+        moved = one_user_sinr(make_layout((pts + shift) % 10.0), 3.0,
+                              Point(*((u + shift) % 10.0)))
         assert moved == pytest.approx(base, rel=1e-10)
 
 
@@ -111,14 +114,15 @@ class TestSinrField:
         users = UserSet(points=ue, exclusion_radius=1e-9)
         field = sinr_field(layout, [3.1], users)[0]
         for i, (x, y) in enumerate(ue):
-            assert field[i] == pytest.approx(sinr(layout, 3.1, Point(x, y)), rel=1e-12)
+            assert field[i] == pytest.approx(brute_force_sinr(layout, 3.1, Point(x, y)),
+                                             rel=1e-12)
 
     def test_exclusion_clamp_caps_peak_sinr(self):
         layout = make_layout([[5, 5], [1, 1], [9, 9]])
         ue = np.array([[5.0, 5.0], [5.0001, 5.0]])  # on top of / nearly on a station
         users = UserSet(points=ue, exclusion_radius=0.01)
         field = sinr_field(layout, [3.0], users)[0]
-        clamped = sinr(layout, 3.0, Point(5.01, 5.0))
+        clamped = brute_force_sinr(layout, 3.0, Point(5.01, 5.0))
         assert field[0] == pytest.approx(clamped, rel=1e-9)
         assert np.all(np.isfinite(field))
 
@@ -161,21 +165,15 @@ class TestMonteCarlo:
     def test_hexagonal_run_matches_direct_summation(self):
         cfg = ExperimentConfig(runs=1, users=30, eta_list=(3.0,), rings=2)
         s = run_monte_carlo(cfg, 3.0, ModelKind.HEXAGONAL)
-        layout = generate_hexagonal(cfg.effective_half_isd, cfg.rings,
-                                    seed=cfg.seed, fill_region=True)
-        from fluidnet.sinr import draw_user_set
-        users = draw_user_set(layout.region, cfg.users, cfg.seed,
-                              cfg.exclusion * cfg.effective_half_isd)
+        layout = generate_hexagonal(cfg.half_isd, cfg.rings, seed=cfg.seed)
+        users = SINR_MODULE.draw_user_set(layout.region, cfg.users, cfg.seed,
+                                          cfg.exclusion * cfg.half_isd)
+        d = torus_distance_matrix(layout.region, users.points, layout.stations)
         # independent oracle: python-loop summation over the full grid
         for i, (x, y) in enumerate(users.points):
-            dists = np.array([torus_distance(layout.region, Point(x, y), Point(*st))
-                              for st in layout.stations])
-            if dists.min() < users.exclusion_radius:
+            if d[i].min() < users.exclusion_radius:
                 continue  # clamped points exercised elsewhere
-            gains = dists ** -3.0
-            k = int(np.argmin(dists))
-            expected = gains[k] / (gains.sum() - gains[k])
-            assert s[i] == pytest.approx(expected, rel=1e-12)
+            assert s[i] == pytest.approx(brute_force_sinr(layout, 3.0, Point(x, y)), rel=1e-12)
 
     def test_poisson_below_fluid_median(self):
         cfg = ExperimentConfig(runs=100, users=2000, eta_list=(3.0,), seed=3)
