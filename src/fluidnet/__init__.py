@@ -5,8 +5,7 @@ from .fluid import (FluidCdf, FluidModel, average_cell_throughput,
                     cell_edge_throughput, fluid_sinr, spectral_efficiency)
 from .geometry import TorusRegion
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
-                        generate_poisson, hexagonal_density,
-                        region_for_expected_count)
+                        generate_poisson, region_for_expected_count)
 from .sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr_field
 from .stats import (CANONICAL_FIT, EmpiricalCdf, FitCoefficients, ShiftFit,
                     cdf_curve_correlation, correlation_coefficient,
@@ -20,7 +19,7 @@ __all__ = [
     "TorusRegion", "UserSet", "average_cell_throughput", "cdf_curve_correlation",
     "cell_edge_throughput", "correlation_coefficient", "empirical_cdf",
     "fit_linear", "fluid_sinr", "generate_hexagonal", "generate_poisson",
-    "hexagonal_density", "mean_horizontal_shift", "monte_carlo_sweep",
+    "mean_horizontal_shift", "monte_carlo_sweep",
     "region_for_expected_count", "run_monte_carlo", "sinr_field",
     "spectral_efficiency",
 ]

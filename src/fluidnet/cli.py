@@ -15,12 +15,13 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_mapping, load_config_file, parse_float_list
 from .errors import ConfigError, FluidNetError
-from .experiment import (correlation_for, fit_shift_law, fluid_cdf_for,
-                         fluid_model_for, monte_carlo_cdfs, throughput_for)
-from .io import (check_finite, write_cdf_csv, write_csv, write_fit_report_csv,
-                 write_fluid_curve_csv, write_layout_csv)
+from .experiment import (correlation_for, fit_shift_law, fluid_cdf_for, monte_carlo_cdfs,
+                         throughput_for)
+from .fluid import FluidModel
+from .io import (cdf_table, checked_table, fit_report_table, fluid_curve_table, layout_table,
+                 write_tables)
 from .placement import (ModelKind, generate_hexagonal, generate_poisson,
-                        hexagonal_density, region_for_expected_count)
+                        region_for_expected_count)
 from .stats import CANONICAL_FIT
 
 CDF_ROWS = 512
@@ -102,26 +103,29 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _make_dir(out: Path) -> Path:
-    """Create the checked --out directory once there is something to write."""
+def _write(out: Path, tables, report_text: str | None = None):
+    """Create the checked --out directory and write the checked tables and report.txt.
+    Commands compute everything first, so a run that fails writes nothing."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
+    write_tables(tables)
+    if report_text is not None:
+        with open(out / "report.txt", "w", newline="\n") as fh:
+            fh.write(report_text)
 
 
 def cmd_generate(args) -> int:
     config = config_from_args(args)
     out = _out_dir(args)
-    r = config.half_isd
     if args.model == "hex":
-        layout = generate_hexagonal(r, config.rings, seed=config.seed)
+        layout = generate_hexagonal(config.rings, seed=config.seed)
     else:
-        region = region_for_expected_count(r, config.expected_stations)
-        layout = generate_poisson(region, hexagonal_density(r), config.seed)
-    path = _make_dir(out) / "layout_0.csv"
-    write_layout_csv(layout, path, config.digest())
+        layout = generate_poisson(region_for_expected_count(config.expected_stations),
+                                  config.seed)
+    path = out / "layout_0.csv"
+    _write(out, [layout_table(layout, path, config.digest())])
     _log(f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
     return 0
 
@@ -135,95 +139,96 @@ def _cdfs(config, model: str) -> dict:
     return monte_carlo_cdfs(config, _MONTE_CARLO_KINDS[model])
 
 
-def _write_cdfs(config, out: Path, model: str, cdfs: dict, **extra_comments):
-    """One cdf_<model>_eta<eta>.csv per {eta: cdf} entry: quantiles on a fixed p-grid.
-
-    Every table is checked before --out is created, so a failed run writes nothing.
-    """
-    tables = {}
-    for eta, cdf in cdfs.items():
-        path = out / f"cdf_{model}_eta{_eta_label(eta)}.csv"
-        tables[eta] = path, check_finite(path, "sinr_db", cdf.quantile(_CDF_P_GRID))
-    _make_dir(out)
-    for eta, (path, sinr_db) in tables.items():
-        write_cdf_csv(path, sinr_db, _CDF_P_GRID,
+def _cdf_tables(config, out: Path, model: str, cdfs: dict, **extra_comments) -> list:
+    """One cdf_<model>_eta<eta>.csv table per {eta: cdf} entry: quantiles on a fixed p-grid."""
+    return [cdf_table(out / f"cdf_{model}_eta{_eta_label(eta)}.csv",
+                      cdf.quantile(_CDF_P_GRID), _CDF_P_GRID,
                       {"digest": config.digest(), "model": model, "eta": eta,
                        "seed": config.seed, **extra_comments})
-        _log(f"cdf: {model} eta={_eta_label(eta)} -> {path}")
+            for eta, cdf in cdfs.items()]
 
 
 def cmd_cdf(args) -> int:
     config = config_from_args(args)
     out = _out_dir(args)
-    _write_cdfs(config, out, args.model, _cdfs(config, args.model))
+    tables = _cdf_tables(config, out, args.model, _cdfs(config, args.model))
+    _write(out, tables)
+    _log(f"cdf: {len(tables)} {args.model} curves -> {out}")
     return 0
 
 
 def _fit_shifts(args, config):
-    """Poisson CDFs, fit.csv and the fitted-fluid CDFs, shared by fit and report."""
+    """Poisson CDFs, the shift fit, and the tables of fit.csv, the Poisson
+    and the fitted-fluid CDFs, shared by fit and report."""
     if len(config.eta_list) < 2:
         raise ConfigError(f"{args.command} needs at least 2 eta values")
     out = _out_dir(args)
     poisson_cdfs = _cdfs(config, "poisson")
     shift_fit = fit_shift_law(config, poisson_cdfs)
-    write_fit_report_csv(shift_fit, _make_dir(out) / "fit.csv",
-                         {"digest": config.digest(), "seed": config.seed})
     coeff = shift_fit.coefficients
-    _write_cdfs(config, out, "poisson", poisson_cdfs)
-    _write_cdfs(config, out, "fitted",
-                {eta: fluid_cdf_for(config, eta, coeff.shift_db(eta)) for eta in config.eta_list},
-                a=coeff.a, b=coeff.b)
+    tables = [fit_report_table(shift_fit, out / "fit.csv",
+                               {"digest": config.digest(), "seed": config.seed}),
+              *_cdf_tables(config, out, "poisson", poisson_cdfs),
+              *_cdf_tables(config, out, "fitted",
+                           {eta: fluid_cdf_for(config, eta, coeff.shift_db(eta))
+                            for eta in config.eta_list},
+                           a=coeff.a, b=coeff.b)]
+    return out, poisson_cdfs, shift_fit, tables
+
+
+def _log_fit(args, shift_fit):
+    coeff = shift_fit.coefficients
     _log(f"{args.command}: a={coeff.a:.4f} b={coeff.b:.4f} "
          f"rms={shift_fit.rms_residual_db:.4f} dB")
-    return out, poisson_cdfs, shift_fit
 
 
 def cmd_fit(args) -> int:
-    _fit_shifts(args, config_from_args(args))
+    out, _, shift_fit, tables = _fit_shifts(args, config_from_args(args))
+    _write(out, tables)
+    _log_fit(args, shift_fit)
     return 0
 
 
 def cmd_report(args) -> int:
     config = config_from_args(args)
     thresholds = np.array(parse_float_list(args.outage_thresholds))
-    out, poisson_cdfs, shift_fit = _fit_shifts(args, config)
+    out, poisson_cdfs, shift_fit, tables = _fit_shifts(args, config)
     digest = config.digest()
     fluid_cdfs = _cdfs(config, "fluid")
-    _write_cdfs(config, out, "fluid", fluid_cdfs)
-    _write_cdfs(config, out, "hex", _cdfs(config, "hex"))
+    tables += _cdf_tables(config, out, "fluid", fluid_cdfs)
+    tables += _cdf_tables(config, out, "hex", _cdfs(config, "hex"))
 
     etas = config.eta_list
     zetas = [correlation_for(config, eta, poisson_cdfs[eta]) for eta in etas]
-    write_csv(out / "correlation.csv", ["eta", "zeta"], [etas, zetas], {"digest": digest})
+    tables.append(checked_table(out / "correlation.csv", ["eta", "zeta"], [etas, zetas],
+                                {"digest": digest}))
 
     outage = [[cdf.evaluate(thresholds)
                for cdf in (poisson_cdfs[eta], fluid_cdfs[eta],
                            fluid_cdf_for(config, eta, CANONICAL_FIT.shift_db(eta)))]
               for eta in etas]
-    write_csv(out / "outage.csv",
-              ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
-              [np.repeat(etas, thresholds.size), np.tile(thresholds, len(etas)),
-               *(np.concatenate(column) for column in zip(*outage))], {"digest": digest})
+    tables.append(checked_table(
+        out / "outage.csv", ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
+        [np.repeat(etas, thresholds.size), np.tile(thresholds, len(etas)),
+         *(np.concatenate(column) for column in zip(*outage))], {"digest": digest}))
 
-    write_csv(out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
-              [etas, *zip(*(throughput_for(config, eta) for eta in etas))], {"digest": digest})
+    tables.append(checked_table(
+        out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
+        [etas, *zip(*(throughput_for(config, eta) for eta in etas))], {"digest": digest}))
 
-    for eta in etas:
-        write_fluid_curve_csv(fluid_model_for(config, eta),
-                              out / f"fluid_curve_eta{_eta_label(eta)}.csv", config.exclusion,
-                              comments={"digest": digest, "eta": eta})
+    tables += [fluid_curve_table(FluidModel(eta), out / f"fluid_curve_eta{_eta_label(eta)}.csv",
+                                 config.exclusion, comments={"digest": digest, "eta": eta})
+               for eta in etas]
 
     coeff = shift_fit.coefficients
-    with open(out / "report.txt", "w", newline="\n") as fh:
-        fh.write("fluidnet experiment report\n")
-        fh.write(f"digest: {digest}\n\nconfiguration:\n")
-        for key, value in config.canonical_items():
-            fh.write(f"  {key} = {value}\n")
-        fh.write(f"\nshift fit: a={coeff.a!r} b={coeff.b!r} "
-                 f"rms={shift_fit.rms_residual_db!r} dB\n")
-        fh.write("\neta  shift_db  zeta(fitted vs poisson)\n")
-        for eta, shift, zeta in zip(shift_fit.etas, shift_fit.shifts_db, zetas):
-            fh.write(f"  {eta:g}  {shift:.4f}  {zeta:.5f}\n")
+    lines = ["fluidnet experiment report", f"digest: {digest}", "", "configuration:",
+             *(f"  {key} = {value}" for key, value in config.canonical_items()), "",
+             f"shift fit: a={coeff.a!r} b={coeff.b!r} rms={shift_fit.rms_residual_db!r} dB",
+             "", "eta  shift_db  zeta(fitted vs poisson)",
+             *(f"  {eta:g}  {shift:.4f}  {zeta:.5f}"
+               for eta, shift, zeta in zip(shift_fit.etas, shift_fit.shifts_db, zetas))]
+    _write(out, tables, "\n".join(lines) + "\n")
+    _log_fit(args, shift_fit)
     _log(f"report: written to {out}")
     return 0
 

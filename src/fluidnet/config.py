@@ -6,16 +6,15 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, DomainError
-from .placement import hexagonal_density
+from .placement import region_for_expected_count
 
 DEFAULT_ETAS = tuple(round(2.2 + 0.2 * i, 1) for i in range(11))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full parameter set for one reproducible experiment."""
+    """Full parameter set for one reproducible experiment; lengths in units of R_c."""
 
-    half_isd: float = 1.0
     expected_stations: float = 50.0
     eta_list: tuple = DEFAULT_ETAS
     runs: int = 100
@@ -30,12 +29,12 @@ class ExperimentConfig:
             raise ConfigError("every real-valued setting must be finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        try:
-            hexagonal_density(self.half_isd)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
         if self.expected_stations <= 0:
             raise ConfigError("expected_stations must be positive")
+        try:
+            region_for_expected_count(self.expected_stations)
+        except DomainError as exc:
+            raise ConfigError(f"expected_stations = {self.expected_stations!r}: {exc}") from None
         if not self.eta_list:
             raise ConfigError("eta_list must be nonempty")
         if any(e <= 2 for e in self.eta_list):

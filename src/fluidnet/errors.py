@@ -1,4 +1,4 @@
-"""Exception hierarchy for fluidnet."""
+"""Exception hierarchy for fluidnet: one class per exit code of the CLI."""
 
 
 class FluidNetError(Exception):
@@ -6,27 +6,7 @@ class FluidNetError(Exception):
 
 
 class DomainError(FluidNetError, ValueError):
-    """An argument is outside the mathematical domain of the operation."""
-
-
-class InsufficientStations(FluidNetError):
-    """A layout has too few stations for the requested computation."""
-
-
-class NoInterference(InsufficientStations):
-    """The SINR needs at least one interfering station."""
-
-
-class EmptySample(FluidNetError):
-    """An empirical CDF cannot be built from an empty sample."""
-
-
-class DegenerateFit(FluidNetError):
-    """Linear fit requested on degenerate abscissas (all equal)."""
-
-
-class ZeroVariance(FluidNetError):
-    """Correlation undefined when one input has zero variance."""
+    """An argument or a result is outside what the computation can handle."""
 
 
 class ConfigError(FluidNetError, ValueError):

@@ -8,17 +8,13 @@ horizontal CDF offset, and fit it as a line in the path-loss exponent.
 from __future__ import annotations
 
 from .config import ExperimentConfig
-from .fluid import (FluidCdf, FluidModel, average_cell_throughput,
-                    cell_edge_throughput, mean_cell_radius)
+from .fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell_throughput,
+                    cell_edge_throughput)
 from .placement import ModelKind
 # perfbench's tracer hooks run_monte_carlo here until ROADMAP item 1 moves the hook.
 from .sinr import monte_carlo_sweep, run_monte_carlo  # noqa: F401
 from .stats import (CANONICAL_FIT, EmpiricalCdf, ShiftFit, cdf_curve_correlation,
                     empirical_cdf, fit_linear, mean_horizontal_shift)
-
-
-def fluid_model_for(config: ExperimentConfig, eta: float) -> FluidModel:
-    return FluidModel(half_isd=config.half_isd, eta=eta)
 
 
 def fluid_cdf_for(config: ExperimentConfig, eta: float, shift_db: float = 0.0) -> FluidCdf:
@@ -28,8 +24,7 @@ def fluid_cdf_for(config: ExperimentConfig, eta: float, shift_db: float = 0.0) -
     (~1.05 R_c) rather than R_c itself; with the bare R_c disk the
     measured fluid-vs-Poisson shifts sit ~0.9 dB above the a*eta + b law.
     """
-    m = fluid_model_for(config, eta)
-    return FluidCdf(m, config.exclusion, shift_db, cell_radius=mean_cell_radius(m))
+    return FluidCdf(FluidModel(eta), config.exclusion, shift_db, cell_radius=MEAN_CELL_RADIUS)
 
 
 def monte_carlo_cdfs(config: ExperimentConfig,
@@ -58,5 +53,5 @@ def correlation_for(config: ExperimentConfig, eta: float, poisson: EmpiricalCdf)
 
 def throughput_for(config: ExperimentConfig, eta: float) -> tuple[float, float]:
     """(cell-edge, cell-average) spectral efficiency of the fluid cell, in bits/s/Hz."""
-    m = fluid_model_for(config, eta)
+    m = FluidModel(eta)
     return cell_edge_throughput(m), average_cell_throughput(m, config.exclusion)

@@ -7,24 +7,29 @@ serving station, which yields a closed-form SINR profile
     gamma(r) = (eta - 2) / (2 pi rho_BS) * r^-eta * (2 R_c - r)^(eta-2)
 
 that depends only on the distance r to the serving station. With the
-lattice density rho_BS = sqrt(3)/(6 R_c^2) the profile reduces to a
-density-free function of x = r / R_c.
+lattice density rho_BS = sqrt(3)/(6 R_c^2) the profile is a function of
+r / R_c alone, so lengths are in units of R_c: R_c = 1 and
+rho_BS = placement.DENSITY.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .placement import hexagonal_density
+from .placement import DENSITY
 
 _BISECTION_REL_TOL = 1e-12
 _BISECTION_MAX_ITER = 200
 # Nodes and weights on [-1, 1] of the rule behind average_cell_throughput.
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
+# Radius of the disk whose area equals the mean cell area 1/DENSITY,
+# sqrt(2*sqrt(3)/pi) ~ 1.05; spreading UEs over this disk mirrors a user
+# population uniform over the whole network area.
+MEAN_CELL_RADIUS = math.sqrt(1.0 / (math.pi * DENSITY))
 
 
 def _float_if_scalar(x):
@@ -34,50 +39,36 @@ def _float_if_scalar(x):
 
 @dataclass(frozen=True)
 class FluidModel:
-    """Fluid-network parameters: cell radius, station density, path-loss exponent."""
+    """Fluid-network parameters: the path-loss exponent, at R_c = 1 and DENSITY."""
 
-    half_isd: float
     eta: float
-    density: float = field(init=False)  # always the lattice density of half_isd
 
     def __post_init__(self):
-        object.__setattr__(self, "density", hexagonal_density(self.half_isd))
         if self.eta <= 2:
             raise DomainError("path loss exponent must exceed 2")
 
 
 def fluid_sinr(m: FluidModel, r):
-    """Linear SINR at distance r from the serving station, 0 < r < 2*R_c.
+    """Linear SINR at distance r from the serving station, 0 < r < 2.
 
     Takes a scalar or an array; a float in gives a float out.
     """
-    rc = m.half_isd
     r = np.asarray(r, dtype=float)
-    if not np.all((r > 0) & (r < 2 * rc)):
-        raise DomainError("r must lie in (0, 2*half_isd)")
-    return _float_if_scalar((m.eta - 2) / (2 * math.pi * m.density)
-                            * r ** (-m.eta) * (2 * rc - r) ** (m.eta - 2))
+    if not np.all((r > 0) & (r < 2)):
+        raise DomainError("r must lie in (0, 2*R_c)")
+    return _float_if_scalar((m.eta - 2) / (2 * math.pi * DENSITY)
+                            * r ** (-m.eta) * (2.0 - r) ** (m.eta - 2))
 
 
 def fluid_sinr_db(m: FluidModel, r):
     return _float_if_scalar(10.0 * np.log10(fluid_sinr(m, r)))
 
 
-def mean_cell_radius(m: FluidModel) -> float:
-    """Radius of the disk whose area equals the mean cell area 1/density.
-
-    For the lattice density this is sqrt(2*sqrt(3)/pi) * R_c ~ 1.05 R_c;
-    spreading UEs over this disk mirrors a user population uniform over
-    the whole network area.
-    """
-    return math.sqrt(1.0 / (math.pi * m.density))
-
-
 def invert_sinr_db(m: FluidModel, gamma_db, lo: float, hi: float):
     """Solve fluid_sinr_db(m, r) = gamma_db on [lo, hi] by bisection.
 
     Works elementwise on arrays. The profile is strictly decreasing on
-    (0, 2*R_c); an answer is clipped to the bracket if its gamma_db falls
+    (0, 2); an answer is clipped to the bracket if its gamma_db falls
     outside the range, and each element stops once its interval is within
     a relative 1e-12.
     """
@@ -106,19 +97,19 @@ class FluidCdf:
     """
 
     def __init__(self, model: FluidModel, exclusion: float, shift_db: float = 0.0,
-                 cell_radius: float | None = None):
+                 cell_radius: float = 1.0):
         if not 0 < exclusion < 1:
             raise DomainError("exclusion must lie in (0, 1)")
         self.model = model
         self.shift_db = shift_db
-        self.inner_radius = exclusion * model.half_isd
-        self.cell_radius = model.half_isd if cell_radius is None else cell_radius
-        if not self.inner_radius < self.cell_radius < 2 * model.half_isd:
+        self.inner_radius = exclusion
+        self.cell_radius = cell_radius
+        if not exclusion < cell_radius < 2:
             raise DomainError("cell_radius must lie in (exclusion*R_c, 2*R_c)")
 
     def evaluate(self, gamma_db):
         """P(SINR in dB <= gamma_db) for a UE uniform on the annulus
-        exclusion*R_c <= r <= cell_radius."""
+        exclusion <= r <= cell_radius."""
         lo, edge = self.inner_radius, self.cell_radius
         rstar = invert_sinr_db(self.model, np.asarray(gamma_db, dtype=float) + self.shift_db,
                                lo, edge)
@@ -143,21 +134,20 @@ def spectral_efficiency(gamma):
 
 
 def cell_edge_throughput(m: FluidModel) -> float:
-    """Minimum (cell-edge) spectral efficiency, at r = R_c."""
-    return spectral_efficiency(fluid_sinr(m, m.half_isd))
+    """Minimum (cell-edge) spectral efficiency, at r = R_c = 1."""
+    return spectral_efficiency(fluid_sinr(m, 1.0))
 
 
 def average_cell_throughput(m: FluidModel, exclusion: float) -> float:
-    """Area-average spectral efficiency over the serving-disk annulus.
+    """Area-average spectral efficiency over the annulus exclusion <= r <= 1.
 
     Integrated in u = log r, where the integrand is smooth down to tiny
     exclusion radii, by the fixed Gauss-Legendre rule (r dr = r^2 du).
     """
     if not 0 < exclusion < 1:
         raise DomainError("exclusion must lie in (0, 1)")
-    rc = m.half_isd
-    u_lo, u_hi = math.log(exclusion * rc), math.log(rc)
-    half = 0.5 * (u_hi - u_lo)
+    u_lo = math.log(exclusion)
+    half = -0.5 * u_lo
     r = np.exp(u_lo + half * (_GAUSS_NODES + 1.0))
-    integrand = np.log2(1.0 + fluid_sinr(m, r)) * 2.0 * r**2 / (rc**2 * (1 - exclusion**2))
+    integrand = np.log2(1.0 + fluid_sinr(m, r)) * 2.0 * r**2 / (1 - exclusion**2)
     return float(half * np.dot(_GAUSS_WEIGHTS, integrand))

@@ -6,6 +6,7 @@ virtually infinite network.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,9 @@ class TorusRegion:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError("torus dimensions must be positive")
+        # also refuses nan, for which every comparison is false
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise DomainError("torus dimensions must be positive and finite")
 
     def area(self) -> float:
         return self.width * self.height

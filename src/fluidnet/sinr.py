@@ -13,12 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import DomainError, NoInterference
+from .errors import DomainError
 from .geometry import TorusRegion, torus_distance_matrix, wrapped_displacement
 from .parallel import map_row_blocks
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
-                        generate_poisson, hexagonal_density,
-                        region_for_expected_count)
+                        generate_poisson, region_for_expected_count)
 from .rng import child_seed, generator
 
 # Stream ids under the experiment seed: 0 draws the fixed UE set,
@@ -78,7 +77,7 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
     if not all(eta > 2 for eta in etas):
         raise DomainError("path loss exponent must exceed 2")
     if layout.n_stations < 2:
-        raise NoInterference("SINR needs at least 2 stations")
+        raise DomainError("SINR needs at least 2 stations")
     ue = users.points.astype(float).copy()
     d = torus_distance_matrix(layout.region, ue, layout.stations)
     d = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
@@ -115,15 +114,13 @@ def monte_carlo_sweep(config: ExperimentConfig,
     """
     config.validate()
     etas = list(dict.fromkeys(config.eta_list))
-    r = config.half_isd
     if model_kind is ModelKind.HEXAGONAL:
-        hexagonal = generate_hexagonal(r, config.rings, seed=config.seed)
+        hexagonal = generate_hexagonal(config.rings, seed=config.seed)
         region, runs = hexagonal.region, 1
     else:
-        region, runs = region_for_expected_count(r, config.expected_stations), config.runs
+        region, runs = region_for_expected_count(config.expected_stations), config.runs
     users = draw_user_set(region, config.users, config.seed,
-                          exclusion_radius=config.exclusion * r)
-    density = hexagonal_density(r)
+                          exclusion_radius=config.exclusion)
 
     n = config.users
     samples = [np.empty(runs * n) for _ in etas]
@@ -131,7 +128,7 @@ def monte_carlo_sweep(config: ExperimentConfig,
         if model_kind is ModelKind.HEXAGONAL:
             layout = hexagonal
         else:
-            layout = generate_poisson(region, density, child_seed(config.seed, k))
+            layout = generate_poisson(region, child_seed(config.seed, k))
         field = sinr_field(layout, etas, users)
         finite = np.isfinite(field).all(axis=1)
         if not finite.all():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, DomainError, EmptySample, ZeroVariance
+from .errors import DomainError
 
 # Interior quantile grid; avoids tail order statistics where Monte
 # Carlo noise dominates.
@@ -55,7 +55,7 @@ class EmpiricalCdf:
     def __init__(self, values_db):
         values = np.sort(np.asarray(values_db, dtype=float).ravel())
         if values.size == 0:
-            raise EmptySample("cannot build a CDF from an empty sample")
+            raise DomainError("cannot build a CDF from an empty sample")
         # NaN and +inf sort to the end, -inf to the start
         if not (np.isfinite(values[0]) and np.isfinite(values[-1])):
             raise DomainError("CDF samples must be finite")
@@ -106,9 +106,9 @@ def fit_linear(etas, shifts) -> ShiftFit:
     x = np.asarray(etas, dtype=float)
     y = np.asarray(shifts, dtype=float)
     if x.size != y.size or x.size < 2:
-        raise DegenerateFit("need at least 2 (eta, shift) points")
+        raise DomainError("need at least 2 (eta, shift) points")
     if np.ptp(x) == 0:
-        raise DegenerateFit("all eta values are equal")
+        raise DomainError("all eta values are equal")
     a, b = np.polyfit(x, y, deg=1)
     residuals = y - (a * x + b)
     return ShiftFit(etas=tuple(x), shifts_db=tuple(y),
@@ -127,7 +127,7 @@ def correlation_coefficient(xs, ys) -> float:
     sx = np.sqrt(np.sum(dx**2))
     sy = np.sqrt(np.sum(dy**2))
     if sx == 0 or sy == 0:
-        raise ZeroVariance("correlation undefined for constant input")
+        raise DomainError("correlation undefined for constant input")
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 

@@ -36,14 +36,14 @@ class TestConfig:
         {"users": 0},
         {"exclusion": 0.0},
         {"exclusion": 1.0},
-        {"half_isd": 1e-300},
-        {"half_isd": -1.0},
+        {"expected_stations": 1e308},
+        {"expected_stations": -1.0},
         {"rings": 0},
         {"eta_list": (float("nan"), 3.0)},
         {"eta_list": (3.0, float("inf"))},
-        {"half_isd": float("nan")},
+        {"expected_stations": float("nan")},
         {"seed": -1},
-        {"half_isd": 1e160},
+        {"expected_stations": 6e307},
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -87,9 +87,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_mapping(load_config_file(path))
         # removed keys: the Monte Carlo-only power and noise keys, which the fluid side
-        # never had, and density_scale, which only divided half_isd
-        for key in ("noise_w", "tx_power_w", "path_gain_k", "density_scale"):
-            path.write_text(f"{key} = 1\n")
+        # never had, density_scale, which only divided half_isd, and half_isd, whose
+        # length unit cancels from every SINR; whatever the value, including one
+        # whose lattice density once left the float range
+        for setting in ("noise_w = 1", "tx_power_w = 1", "path_gain_k = 1", "density_scale = 1",
+                        "half_isd = 1.0", "half_isd = 1e-300", "half_isd = 1e160",
+                        "half_isd = 1e300"):
+            path.write_text(setting + "\n")
+            key = setting.split()[0]
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config_from_mapping(load_config_file(path))
 
@@ -100,6 +105,14 @@ def test_readme_lists_config_keys_and_shared_flags():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     keys = re.search(r"config file keys are ([^.]*)\.", text).group(1)
     assert set(re.findall(r"`(\w+)`", keys)) == {f.name for f in fields(ExperimentConfig)}
+    # and every key it names as removed must be refused as unknown
+    removed = re.search(r"Any other key exits 2 as unknown\.\s+This\s+includes ([^.]*)\.",
+                        text).group(1)
+    removed_keys = set(re.findall(r"`(\w+)`", removed))
+    assert removed_keys and not removed_keys & {f.name for f in fields(ExperimentConfig)}
+    for key in removed_keys:
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            config_from_mapping({key: "1"})
     flags = re.search(r"All commands share ([^.]*)\.", text).group(1)
     documented = {token.split()[0] for token in re.findall(r"`(--[^`]+)`", flags)}
     subparsers = next(a for a in cli.build_parser()._actions
@@ -136,7 +149,7 @@ class TestCli:
         stations = np.array([[float(r[1]), float(r[2])] for r in rows])
         d = torus_distance_matrix(region, stations, stations)
         assert np.all(np.sum(np.abs(d - 2.0) < 1e-9, axis=1) == 6)
-        expected = generate_hexagonal(ExperimentConfig().half_isd, 2)
+        expected = generate_hexagonal(2)
         assert np.array_equal(stations, expected.stations)
         assert (region.width, region.height) == (expected.region.width, expected.region.height)
 
@@ -177,21 +190,20 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "dup").exists()
 
-    def test_nan_half_isd_exits_2(self, tmp_path):
+    def test_nan_config_value_exits_2(self, tmp_path):
         conf = tmp_path / "nan.conf"
-        conf.write_text("half_isd = nan\n")
+        conf.write_text("expected_stations = nan\n")
         assert main(["cdf", "--model", "poisson", "--config", str(conf),
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting, code", [
-        ("half_isd = 1e-300", 2), ("half_isd = 1e160", 2), ("half_isd = 1e300", 2),
-        ("expected_stations = 1e30", 3),
-    ], ids=["half_isd=1e-300", "half_isd=1e160", "half_isd=1e300", "expected_stations=1e30"])
+        ("expected_stations = 1e308", 2), ("expected_stations = 1e30", 3),
+    ], ids=["expected_stations=1e308", "expected_stations=1e30"])
     def test_extreme_config_value_exits_cleanly(self, tmp_path, setting, code):
-        # a half_isd whose lattice density leaves the float range is a bad config;
-        # a Poisson mean numpy cannot draw fails the run. Either way: one error
-        # line, no traceback and no --out
+        # a torus side that overflows to inf is a bad config; a Poisson mean numpy
+        # cannot draw fails the run. Either way: one error line, no traceback and
+        # no --out
         conf = tmp_path / "extreme.conf"
         conf.write_text(setting + "\n")
         out = tmp_path / "out"
@@ -288,6 +300,24 @@ class TestCli:
         assert main(["cdf", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == f"error: {line or message}\n"
 
+    @pytest.mark.parametrize("setting, runs_users", [
+        ("", ("--runs", "1", "--users", "1")),
+        ("exclusion = 1e-300", ("--runs", "1", "--users", "50")),
+    ], ids=["one_sample_correlation", "tiny_exclusion_throughput"])
+    def test_late_report_failure_leaves_no_out_dir(self, tmp_path, capsys, setting,
+                                                   runs_users):
+        # a one-sample Poisson CDF has no correlation, and a 1e-300 exclusion radius
+        # overflows the fluid throughput; both fail after the fit, and report
+        # computes every table before it creates --out
+        conf = tmp_path / "exp.conf"
+        conf.write_text(setting + "\n")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(conf), *runs_users, "--eta", "2.6,3",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_failed_fit_leaves_no_out_dir(self, tmp_path):
         out = tmp_path / "o3"
         assert main(["fit", "--eta", "20,30", "--runs", "1", "--users", "50",
@@ -295,14 +325,12 @@ class TestCli:
         assert not out.exists()
 
     def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
-        conf = tmp_path / "half.conf"
-        conf.write_text("half_isd = 0.5\n")
         out = tmp_path / "out"
         assert main(["report", "--eta", "2.3,3.0,5.5", "--runs", "1", "--users", "50",
-                     "--config", str(conf), "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         for eta in (2.3, 3.0, 5.5):
             _, rows = read_rows(out / f"fluid_curve_eta{eta:g}.csv")
-            cdf = FluidCdf(FluidModel(half_isd=0.5, eta=eta), 0.01)
+            cdf = FluidCdf(FluidModel(eta), 0.01)
             sinr_db, written = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
             assert np.max(np.abs(written - cdf.evaluate(sinr_db))) <= 1e-9
 
@@ -320,7 +348,7 @@ class TestCli:
                 "from fluidnet import UserSet, generate_hexagonal, parallel, sinr_field\n"
                 "imported = 'concurrent.futures' in sys.modules\n"
                 "users = UserSet(np.array([[0.1, 0.2]]), 0.0)\n"
-                "sinr_field(generate_hexagonal(1.0, 2), [3.0], users)\n"
+                "sinr_field(generate_hexagonal(2), [3.0], users)\n"
                 "print(imported, 'concurrent.futures' in sys.modules, parallel._pool)")
         env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -7,18 +7,18 @@ from scipy.integrate import quad
 from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError
 from fluidnet.experiment import fluid_cdf_for
-from fluidnet.fluid import (FluidCdf, FluidModel, average_cell_throughput,
+from fluidnet.fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell_throughput,
                             cell_edge_throughput, fluid_sinr, fluid_sinr_db,
-                            invert_sinr_db, mean_cell_radius, spectral_efficiency)
-from fluidnet.placement import hexagonal_density
+                            invert_sinr_db, spectral_efficiency)
+from fluidnet.placement import DENSITY
 from fluidnet.stats import CANONICAL_FIT
 from oracles import normalized_sinr
 
 SQRT3 = math.sqrt(3.0)
 
 
-def model(eta, rc=1.0):
-    return FluidModel(half_isd=rc, eta=eta)
+def model(eta):
+    return FluidModel(eta)
 
 
 class TestFluidSinr:
@@ -48,12 +48,9 @@ class TestFluidSinr:
     def test_matches_normalized_form(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
-            rc = 10 ** (rng.random() * 2 - 1)
             x = 1e-3 + rng.random() * 1.99
             eta = 2.2 + rng.random() * 2.0
-            m = model(eta, rc)
-            assert fluid_sinr(m, x * rc) == pytest.approx(
-                normalized_sinr(eta, x), rel=1e-12)
+            assert fluid_sinr(model(eta), x) == pytest.approx(normalized_sinr(eta, x), rel=1e-12)
 
 
 class TestNormalizedSinr:
@@ -70,14 +67,14 @@ class TestNormalizedSinr:
         assert normalized_sinr(2.0001, 0.7) < 1e-3
 
     def test_scale_free_against_rescaled_model(self):
-        # literal density-independence: any R_c with consistent density
+        # the density-free profile of x = r / R_c is the model at R_c = 1 and the
+        # lattice density, here through the array path of fluid_sinr
         rng = np.random.default_rng(41)
-        for rc in (0.1, 1.0, 37.0):
-            for _ in range(20):
-                x = 1e-2 + rng.random() * 1.9
-                eta = 2.3 + rng.random() * 1.8
-                assert fluid_sinr(model(eta, rc), x * rc) == pytest.approx(
-                    normalized_sinr(eta, x), rel=1e-12)
+        for _ in range(3):
+            x = 1e-2 + rng.random(20) * 1.9
+            eta = 2.3 + rng.random() * 1.8
+            expected = [normalized_sinr(eta, xi) for xi in x]
+            np.testing.assert_allclose(fluid_sinr(model(eta), x), expected, rtol=1e-12, atol=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -130,7 +127,7 @@ class TestFluidCdf:
     def test_array_matches_scalar(self):
         m = model(3.3)
         plain = FluidCdf(m, 0.01)
-        cdf = FluidCdf(m, 0.01, shift_db=1.5, cell_radius=mean_cell_radius(m))
+        cdf = FluidCdf(m, 0.01, shift_db=1.5, cell_radius=MEAN_CELL_RADIUS)
         # reaches past both ends of the SINR range, where the CDF clips to 0 and 1
         grid = np.linspace(fluid_sinr_db(m, 1.2) - 5, fluid_sinr_db(m, 0.01) + 5, 301)
         values = plain.evaluate(grid)
@@ -164,10 +161,8 @@ class TestFluidCdf:
         assert shifted.quantile(0.5) == pytest.approx(base.quantile(0.5) - 2.0)
 
     def test_mean_cell_radius(self):
-        m = model(3.0, rc=2.0)
-        rd = mean_cell_radius(m)
-        assert math.pi * rd**2 == pytest.approx(1.0 / hexagonal_density(2.0), rel=1e-12)
-        assert rd / 2.0 == pytest.approx(math.sqrt(2 * SQRT3 / math.pi), rel=1e-12)
+        assert math.pi * MEAN_CELL_RADIUS**2 == pytest.approx(1.0 / DENSITY, rel=1e-12)
+        assert MEAN_CELL_RADIUS == pytest.approx(math.sqrt(2 * SQRT3 / math.pi), rel=1e-12)
 
 
 class TestThroughput:
@@ -183,18 +178,19 @@ class TestThroughput:
                                                                  rel=1e-12)
 
     def test_cell_edge_independent_of_rc(self):
-        for rc in (0.2, 1.0, 15.0):
-            assert cell_edge_throughput(model(3.1, rc)) == pytest.approx(
-                cell_edge_throughput(model(3.1)), rel=1e-12)
+        # the cell edge is x = r / R_c = 1 of the density-free profile
+        for eta in (2.4, 3.1, 4.5):
+            assert cell_edge_throughput(model(eta)) == pytest.approx(
+                math.log2(1 + normalized_sinr(eta, 1.0)), rel=1e-12)
 
     def test_cell_edge_vanishes_near_eta_two(self):
         assert cell_edge_throughput(model(2.001)) < 1e-2
 
     def test_weight_normalizes_to_one(self):
         # constant-integrand sanity: the radial weight integrates to exactly 1
-        eps, rc = 0.01, 1.0
-        norm = rc**2 * (1 - eps**2)
-        value, _ = quad(lambda r: 2 * r / norm, eps * rc, rc, epsrel=1e-12)
+        eps = 0.01
+        norm = 1 - eps**2
+        value, _ = quad(lambda r: 2 * r / norm, eps, 1.0, epsrel=1e-12)
         assert value == pytest.approx(1.0, rel=1e-10)
 
     def test_average_against_sampling_oracle(self):
@@ -222,10 +218,7 @@ class TestThroughput:
 
 
 def test_model_validation():
-    # a half_isd whose lattice density is 0, inf or nan in float64 is refused too
-    for half_isd in (0.0, 1e-300, 1e-160, 1e160, float("nan")):
-        with pytest.raises(DomainError):
-            FluidModel(half_isd=half_isd, eta=3.0)
-    with pytest.raises(DomainError):
-        FluidModel(half_isd=1.0, eta=2.0)
-    assert FluidModel(half_isd=1.0, eta=3.0).density == pytest.approx(SQRT3 / 6.0)
+    for eta in (2.0, 1.5):
+        with pytest.raises(DomainError, match="path loss exponent must exceed 2"):
+            FluidModel(eta)
+    assert FluidModel(3.0).eta == 3.0

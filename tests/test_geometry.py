@@ -113,7 +113,8 @@ def test_wrapped_displacement_nearest_image():
 
 
 def test_invalid_region_rejected():
-    with pytest.raises(DomainError):
-        TorusRegion(0.0, 1.0)
-    with pytest.raises(DomainError):
-        TorusRegion(1.0, -2.0)
+    # an infinite side would put users at inf/nan coordinates; nan fails every comparison
+    for width, height in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.inf),
+                          (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            TorusRegion(width, height)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fluidnet.io import fmt, write_csv
+from fluidnet.errors import DomainError
+from fluidnet.io import checked_table, fmt, write_csv, write_tables
 
 
 def row_writer(path, header, rows, comments=None, footer_comments=None):
@@ -48,3 +49,17 @@ def test_ragged_columns_raise(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "r.csv", ["a", "b"], [[1.0, 2.0], [3.0]])
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_checked_table_refuses_non_finite_before_writing(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(DomainError, match=f"non-finite value in column y of {path}"):
+        checked_table(path, ["x", "y"], [[1.0, 2.0], np.array([0.5, np.inf])])
+    assert not path.exists()
+
+
+def test_write_tables_matches_write_csv(tmp_path):
+    columns = [np.arange(2), np.array([-0.0, 5e-324])]
+    write_tables([checked_table(tmp_path / "a.csv", ["i", "x"], columns, COMMENTS, FOOTER)])
+    write_csv(tmp_path / "b.csv", ["i", "x"], columns, COMMENTS, FOOTER)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

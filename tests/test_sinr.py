@@ -6,7 +6,7 @@ import pytest
 from fluidnet import parallel
 from fluidnet import sinr as SINR_MODULE
 from fluidnet.config import ExperimentConfig
-from fluidnet.errors import DomainError, NoInterference
+from fluidnet.errors import DomainError
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
 from fluidnet.sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr_field
@@ -16,7 +16,7 @@ from oracles import Point, brute_force_sinr
 def make_layout(stations, width=10.0, height=10.0):
     return NetworkLayout(region=TorusRegion(width, height),
                          stations=np.asarray(stations, dtype=float),
-                         model=ModelKind.POISSON, density=1.0, seed=0)
+                         model=ModelKind.POISSON, seed=0)
 
 
 def one_user_sinr(layout, eta, u):
@@ -69,7 +69,7 @@ class TestSinr:
     def test_single_station_no_interference(self):
         layout = make_layout([[5, 5]])
         for radius in (0.0, 0.01):
-            with pytest.raises(NoInterference):
+            with pytest.raises(DomainError, match="SINR needs at least 2 stations"):
                 sinr_field(layout, [3.0], UserSet(points=np.array([[4.0, 4.0]]),
                                                   exclusion_radius=radius))
 
@@ -165,9 +165,8 @@ class TestMonteCarlo:
     def test_hexagonal_run_matches_direct_summation(self):
         cfg = ExperimentConfig(runs=1, users=30, eta_list=(3.0,), rings=2)
         s = run_monte_carlo(cfg, 3.0, ModelKind.HEXAGONAL)
-        layout = generate_hexagonal(cfg.half_isd, cfg.rings, seed=cfg.seed)
-        users = SINR_MODULE.draw_user_set(layout.region, cfg.users, cfg.seed,
-                                          cfg.exclusion * cfg.half_isd)
+        layout = generate_hexagonal(cfg.rings, seed=cfg.seed)
+        users = SINR_MODULE.draw_user_set(layout.region, cfg.users, cfg.seed, cfg.exclusion)
         d = torus_distance_matrix(layout.region, users.points, layout.stations)
         # independent oracle: python-loop summation over the full grid
         for i, (x, y) in enumerate(users.points):
@@ -179,7 +178,7 @@ class TestMonteCarlo:
         cfg = ExperimentConfig(runs=100, users=2000, eta_list=(3.0,), seed=3)
         s = run_monte_carlo(cfg, 3.0)
         from fluidnet.fluid import FluidCdf, FluidModel
-        fluid_median = FluidCdf(FluidModel(half_isd=1.0, eta=3.0), 0.01).quantile(0.5)
+        fluid_median = FluidCdf(FluidModel(3.0), 0.01).quantile(0.5)
         gap = fluid_median - (10.0 * np.log10(s)).mean()
         assert 2.0 < gap < 5.0
 
