@@ -15,9 +15,8 @@ import numpy as np
 
 from .config import ExperimentConfig, config_from_mapping, load_config_file, parse_float_list
 from .errors import ConfigError, FluidNetError
-from .experiment import (correlation_for, fit_shift_law, fluid_cdf_for, monte_carlo_cdfs,
-                         throughput_for)
-from .fluid import FluidModel
+from .experiment import correlation_for, fit_shift_law, monte_carlo_cdfs, throughput_for
+from .fluid import FluidCdf, FluidModel
 from .io import (cdf_table, checked_table, fit_report_table, fluid_curve_table, layout_table,
                  write_tables)
 from .placement import (ModelKind, generate_hexagonal, generate_poisson,
@@ -120,12 +119,12 @@ def cmd_generate(args) -> int:
     config = config_from_args(args)
     out = _out_dir(args)
     if args.model == "hex":
-        layout = generate_hexagonal(config.rings, seed=config.seed)
+        layout = generate_hexagonal(config.rings)
     else:
         layout = generate_poisson(region_for_expected_count(config.expected_stations),
                                   config.seed)
     path = out / "layout_0.csv"
-    _write(out, [layout_table(layout, path, config.digest())])
+    _write(out, [layout_table(layout, path, config.seed, config.digest())])
     _log(f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
     return 0
 
@@ -135,7 +134,7 @@ _MONTE_CARLO_KINDS = {"poisson": ModelKind.POISSON, "hex": ModelKind.HEXAGONAL}
 
 def _cdfs(config, model: str) -> dict:
     if model == "fluid":
-        return {eta: fluid_cdf_for(config, eta) for eta in config.eta_list}
+        return {eta: FluidCdf(FluidModel(eta), config.exclusion) for eta in config.eta_list}
     return monte_carlo_cdfs(config, _MONTE_CARLO_KINDS[model])
 
 
@@ -170,7 +169,7 @@ def _fit_shifts(args, config):
                                {"digest": config.digest(), "seed": config.seed}),
               *_cdf_tables(config, out, "poisson", poisson_cdfs),
               *_cdf_tables(config, out, "fitted",
-                           {eta: fluid_cdf_for(config, eta, coeff.shift_db(eta))
+                           {eta: FluidCdf(FluidModel(eta), config.exclusion, coeff.shift_db(eta))
                             for eta in config.eta_list},
                            a=coeff.a, b=coeff.b)]
     return out, poisson_cdfs, shift_fit, tables
@@ -205,7 +204,8 @@ def cmd_report(args) -> int:
 
     outage = [[cdf.evaluate(thresholds)
                for cdf in (poisson_cdfs[eta], fluid_cdfs[eta],
-                           fluid_cdf_for(config, eta, CANONICAL_FIT.shift_db(eta)))]
+                           FluidCdf(FluidModel(eta), config.exclusion,
+                                    CANONICAL_FIT.shift_db(eta)))]
               for eta in etas]
     tables.append(checked_table(
         out / "outage.csv", ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],

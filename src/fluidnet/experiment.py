@@ -8,23 +8,12 @@ horizontal CDF offset, and fit it as a line in the path-loss exponent.
 from __future__ import annotations
 
 from .config import ExperimentConfig
-from .fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell_throughput,
-                    cell_edge_throughput)
+from .fluid import FluidCdf, FluidModel, average_cell_throughput, cell_edge_throughput
 from .placement import ModelKind
 # perfbench's tracer hooks run_monte_carlo here until ROADMAP item 1 moves the hook.
 from .sinr import monte_carlo_sweep, run_monte_carlo  # noqa: F401
 from .stats import (CANONICAL_FIT, EmpiricalCdf, ShiftFit, cdf_curve_correlation,
                     empirical_cdf, fit_linear, mean_horizontal_shift)
-
-
-def fluid_cdf_for(config: ExperimentConfig, eta: float, shift_db: float = 0.0) -> FluidCdf:
-    """Analytic fluid CDF matched to a user population uniform over the area.
-
-    The UE disk radius is the equivalent-mean-cell-area radius
-    (~1.05 R_c) rather than R_c itself; with the bare R_c disk the
-    measured fluid-vs-Poisson shifts sit ~0.9 dB above the a*eta + b law.
-    """
-    return FluidCdf(FluidModel(eta), config.exclusion, shift_db, cell_radius=MEAN_CELL_RADIUS)
 
 
 def monte_carlo_cdfs(config: ExperimentConfig,
@@ -40,14 +29,15 @@ def monte_carlo_cdfs(config: ExperimentConfig,
 def fit_shift_law(config: ExperimentConfig, poisson_cdfs: dict) -> ShiftFit:
     """Fit shift = a*eta + b across config.eta_list, where each eta's shift is
     the mean dB offset of the fluid CDF to the right of the Poisson CDF."""
-    shifts = [mean_horizontal_shift(fluid_cdf_for(config, eta), poisson_cdfs[eta])
+    shifts = [mean_horizontal_shift(FluidCdf(FluidModel(eta), config.exclusion),
+                                    poisson_cdfs[eta])
               for eta in config.eta_list]
     return fit_linear(config.eta_list, shifts)
 
 
 def correlation_for(config: ExperimentConfig, eta: float, poisson: EmpiricalCdf) -> float:
     """Correlation between the canonically fitted fluid and Poisson CDF curves at one eta."""
-    fitted = fluid_cdf_for(config, eta, shift_db=CANONICAL_FIT.shift_db(eta))
+    fitted = FluidCdf(FluidModel(eta), config.exclusion, CANONICAL_FIT.shift_db(eta))
     return cdf_curve_correlation(fitted, poisson)
 
 

@@ -64,8 +64,8 @@ def write_tables(tables):
         write_csv(*table)
 
 
-def layout_table(layout, path, digest):
-    comments = {"model": layout.model.value, "seed": layout.seed, "density": DENSITY,
+def layout_table(layout, path, seed, digest):
+    comments = {"model": layout.model.value, "seed": seed, "density": DENSITY,
                 "width": layout.region.width, "height": layout.region.height, "digest": digest}
     stations = layout.stations
     return checked_table(path, ["bs_id", "x", "y"],
@@ -80,7 +80,8 @@ def fluid_curve_table(model, path, exclusion, comments):
     """Fluid cell profile on a geometric r-grid: SINR, CDF, spectral efficiency.
 
     SINR falls with r, so the CDF at the SINR of radius r is the area
-    share of the annulus beyond it, (1 - r^2) / (1 - exclusion^2).
+    share of the annulus beyond it, (1 - r^2) / (1 - exclusion^2): over the
+    R_c disk, not FluidCdf's mean-cell disk.
     """
     r = np.geomspace(exclusion, 1.0, FLUID_CURVE_ROWS)
     gamma = fluid_sinr(model, r)

@@ -41,7 +41,6 @@ class NetworkLayout:
     region: TorusRegion
     stations: np.ndarray  # (n, 2) wrapped coordinates
     model: ModelKind
-    seed: int
     redraws: int = 0
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ def region_for_expected_count(expected_count: float) -> TorusRegion:
     return TorusRegion(side, side)
 
 
-def generate_hexagonal(rings: int, seed: int = 0) -> NetworkLayout:
+def generate_hexagonal(rings: int) -> NetworkLayout:
     """Triangular lattice layout that tiles the torus.
 
     The torus holds a (2*rings+1) x (2*rings+2) lattice with offset rows,
@@ -77,8 +76,7 @@ def generate_hexagonal(rings: int, seed: int = 0) -> NetworkLayout:
     region = TorusRegion(cols * 2.0, rows * SQRT3)
     stations = np.array([((1.0 if j % 2 else 0.0) + i * 2.0, j * SQRT3)
                          for j in range(rows) for i in range(cols)])
-    return NetworkLayout(region=region, stations=stations, model=ModelKind.HEXAGONAL,
-                         seed=seed)
+    return NetworkLayout(region=region, stations=stations, model=ModelKind.HEXAGONAL)
 
 
 def generate_poisson(region: TorusRegion, seed: int) -> NetworkLayout:
@@ -101,5 +99,4 @@ def generate_poisson(region: TorusRegion, seed: int) -> NetworkLayout:
             f"{MAX_POISSON_REDRAWS} Poisson redraws with mean {mean:g} stations "
             "all gave fewer than 2 stations")
     xy = rng.random((n, 2)) * np.array([region.width, region.height])
-    return NetworkLayout(region=region, stations=xy, model=ModelKind.POISSON,
-                         seed=seed, redraws=redraws)
+    return NetworkLayout(region=region, stations=xy, model=ModelKind.POISSON, redraws=redraws)

@@ -115,7 +115,7 @@ def monte_carlo_sweep(config: ExperimentConfig,
     config.validate()
     etas = list(dict.fromkeys(config.eta_list))
     if model_kind is ModelKind.HEXAGONAL:
-        hexagonal = generate_hexagonal(config.rings, seed=config.seed)
+        hexagonal = generate_hexagonal(config.rings)
         region, runs = hexagonal.region, 1
     else:
         region, runs = region_for_expected_count(config.expected_stations), config.runs

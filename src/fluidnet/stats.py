@@ -63,9 +63,11 @@ class EmpiricalCdf:
         self.n = values.size
 
     def evaluate(self, x):
-        """F(x) = fraction of samples <= x."""
-        return np.searchsorted(self.sorted_values_db, np.asarray(x, dtype=float),
-                               side="right") / self.n
+        """F(x) = fraction of samples <= x; DomainError at nan."""
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise DomainError("cannot evaluate a CDF at nan")
+        return np.searchsorted(self.sorted_values_db, x, side="right") / self.n
 
     def quantile(self, p):
         """Linear interpolation of order statistics at position p*(n-1).
@@ -75,7 +77,7 @@ class EmpiricalCdf:
         without np.quantile's partition of a copy.
         """
         parr = np.asarray(p, dtype=float)
-        if np.any((parr <= 0) | (parr >= 1)):
+        if not np.all((parr > 0) & (parr < 1)):
             raise DomainError("p must lie in (0, 1)")
         values = self.sorted_values_db
         x = (self.n - 1) * parr
@@ -136,7 +138,7 @@ def cdf_curve_correlation(fitted_fluid, poisson) -> float:
 
     The grid spans the union of the curves' 1st-99th percentile ranges.
     """
-    lo = min(float(np.min(fitted_fluid.quantile(0.01))), float(np.min(poisson.quantile(0.01))))
-    hi = max(float(np.max(fitted_fluid.quantile(0.99))), float(np.max(poisson.quantile(0.99))))
+    lo = min(fitted_fluid.quantile(0.01), poisson.quantile(0.01))
+    hi = max(fitted_fluid.quantile(0.99), poisson.quantile(0.99))
     grid = np.linspace(lo, hi, CORRELATION_GRID_POINTS)
     return correlation_coefficient(fitted_fluid.evaluate(grid), poisson.evaluate(grid))

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from fluidnet.errors import DomainError
 
@@ -55,3 +56,18 @@ def normalized_sinr(eta: float, x: float) -> float:
         raise DomainError("x must lie in (0, 2)")
     return (6.0 / math.sqrt(3.0)) * (eta - 2) / (2 * math.pi) \
         * x ** (-eta) * (2 - x) ** (eta - 2)
+
+
+def rc_disk_cdf(eta: float, exclusion: float, gamma_db: float) -> float:
+    """P(SINR in dB <= gamma_db) of the fluid cell for a UE uniform on the
+    annulus exclusion <= x <= 1 (the R_c disk), with the radius at gamma_db
+    found by brentq on normalized_sinr."""
+    def excess_db(x):
+        return 10 * math.log10(normalized_sinr(eta, x)) - gamma_db
+
+    if excess_db(1.0) >= 0:
+        return 0.0
+    if excess_db(exclusion) <= 0:
+        return 1.0
+    x = brentq(excess_db, exclusion, 1.0, xtol=1e-15)
+    return (1 - x**2) / (1 - exclusion**2)

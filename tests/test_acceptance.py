@@ -12,8 +12,9 @@ import pytest
 
 from fluidnet.cli import main
 from fluidnet.config import DEFAULT_ETAS
-from fluidnet.experiment import correlation_for, fluid_cdf_for, monte_carlo_cdfs
-from fluidnet.fluid import FluidCdf, FluidModel, average_cell_throughput, fluid_sinr
+from fluidnet.experiment import correlation_for, monte_carlo_cdfs
+from fluidnet.fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell_throughput,
+                            fluid_sinr)
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import (ModelKind, NetworkLayout, generate_poisson,
                                 region_for_expected_count)
@@ -65,14 +66,14 @@ class TestCriterion1FitLaw:
 class TestCriterion2RawGap:
     @pytest.mark.parametrize("eta,expected", [(2.8, 2.4), (3.6, 4.8)])
     def test_median_gap(self, full_config, poisson_cdfs, eta, expected):
-        fluid = fluid_cdf_for(full_config, eta)
+        fluid = FluidCdf(FluidModel(eta), full_config.exclusion)
         gap = fluid.quantile(0.5) - poisson_cdfs[eta].quantile(0.5)
         report(f"criterion 2 eta={eta}", abs(gap - expected) <= 1.0,
                f"median gap {gap:.2f} dB (want {expected}+-1.0)")
 
     @pytest.mark.parametrize("eta", [2.8, 3.6])
     def test_fluid_dominates(self, full_config, poisson_cdfs, eta):
-        fluid = fluid_cdf_for(full_config, eta)
+        fluid = FluidCdf(FluidModel(eta), full_config.exclusion)
         ps = np.linspace(0.1, 0.9, 17)
         worst = min(fluid.quantile(p) - poisson_cdfs[eta].quantile(p) for p in ps)
         report(f"criterion 2 dominance eta={eta}", worst >= 0.0,
@@ -82,8 +83,8 @@ class TestCriterion2RawGap:
 class TestCriterion3PostFitCloseness:
     @pytest.mark.parametrize("eta", [2.8, 3.0, 3.6, 3.8])
     def test_fitted_gap(self, full_config, poisson_cdfs, eta):
-        fitted = fluid_cdf_for(full_config, eta,
-                               shift_db=CANONICAL_FIT.shift_db(eta))
+        fitted = FluidCdf(FluidModel(eta), full_config.exclusion,
+                          shift_db=CANONICAL_FIT.shift_db(eta))
         ps = np.linspace(0.05, 0.95, 19)
         gaps = [abs(fitted.quantile(p) - poisson_cdfs[eta].quantile(p)) for p in ps]
         mean_gap = float(np.mean(gaps))
@@ -117,8 +118,7 @@ class TestCriterion5DensityInvariance:
         layout = generate_poisson(region, seed=3)
         users = draw_user_set(region, 2000, 3, 0.01)
         scaled = NetworkLayout(region=TorusRegion(region.width * scale, region.height * scale),
-                               stations=layout.stations * scale, model=ModelKind.POISSON,
-                               seed=3)
+                               stations=layout.stations * scale, model=ModelKind.POISSON)
         scaled_users = UserSet(points=users.points * scale,
                                exclusion_radius=users.exclusion_radius * scale)
         base_db = 10 * np.log10(sinr_field(layout, DEFAULT_ETAS, users))
@@ -143,7 +143,7 @@ class TestCriterion5DensityInvariance:
 
 class TestCriterion6Hexagonal:
     def test_hex_median_gap(self, full_config):
-        fluid = fluid_cdf_for(full_config, 3.0)
+        fluid = FluidCdf(FluidModel(3.0), full_config.exclusion)
         hexagonal = monte_carlo_cdfs(replace(full_config, eta_list=(3.0,)),
                                      ModelKind.HEXAGONAL)[3.0]
         gap = abs(fluid.quantile(0.5) - hexagonal.quantile(0.5))
@@ -156,7 +156,7 @@ class TestCriterion7Oracles:
         m = FluidModel(3.0)
         eps = 0.01
         rng = np.random.default_rng(59)
-        r = np.sqrt(eps**2 + rng.random(1_000_000) * (1 - eps**2))
+        r = np.sqrt(eps**2 + rng.random(1_000_000) * (MEAN_CELL_RADIUS**2 - eps**2))
         # closed form evaluated directly on the radius array
         gamma = (3.0 - 2) / (2 * math.pi * SQRT3 / 6) * r**-3.0 * (2 - r)
         sample_db = 10 * np.log10(gamma)
@@ -175,8 +175,7 @@ class TestCriterion7Oracles:
         region = TorusRegion(10.0, 10.0)
         for _ in range(50):
             pts = rng.random((5, 2)) * 10.0
-            layout = NetworkLayout(region=region, stations=pts,
-                                   model=ModelKind.POISSON, seed=0)
+            layout = NetworkLayout(region=region, stations=pts, model=ModelKind.POISSON)
             u = Point(*(rng.random(2) * 10.0))
             yield layout, u, brute_force_sinr(layout, 3.3, u)
 

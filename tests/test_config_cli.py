@@ -16,9 +16,9 @@ from fluidnet.cli import main
 from fluidnet.config import (DEFAULT_ETAS, ExperimentConfig, config_from_mapping,
                              load_config_file, parse_float_list)
 from fluidnet.errors import ConfigError
-from fluidnet.fluid import FluidCdf, FluidModel
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import generate_hexagonal
+from oracles import rc_disk_cdf
 
 
 class TestConfig:
@@ -330,9 +330,9 @@ class TestCli:
                      "--out", str(out)]) == 0
         for eta in (2.3, 3.0, 5.5):
             _, rows = read_rows(out / f"fluid_curve_eta{eta:g}.csv")
-            cdf = FluidCdf(FluidModel(eta), 0.01)
             sinr_db, written = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
-            assert np.max(np.abs(written - cdf.evaluate(sinr_db))) <= 1e-9
+            expected = [rc_disk_cdf(eta, 0.01, g) for g in sinr_db]
+            assert np.max(np.abs(written - expected)) <= 1e-9
 
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, fluidnet.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

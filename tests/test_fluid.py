@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError
-from fluidnet.experiment import fluid_cdf_for
 from fluidnet.fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell_throughput,
                             cell_edge_throughput, fluid_sinr, fluid_sinr_db,
                             invert_sinr_db, spectral_efficiency)
@@ -89,10 +88,10 @@ class TestFluidCdf:
     def test_limits(self):
         m = model(3.0)
         eps = 0.01
-        # CDF is 1 at the peak SINR (inner radius), 0 at the cell-edge minimum
+        # CDF is 1 at the peak SINR (inner radius), 0 at the disk-edge minimum
         cdf = FluidCdf(m, eps)
         assert cdf.evaluate(fluid_sinr_db(m, eps * 1.0) + 1e-9) == pytest.approx(1.0)
-        assert cdf.evaluate(fluid_sinr_db(m, 1.0)) == pytest.approx(0.0, abs=1e-9)
+        assert cdf.evaluate(fluid_sinr_db(m, MEAN_CELL_RADIUS)) == pytest.approx(0.0, abs=1e-9)
 
     def test_saturates(self):
         cdf = FluidCdf(model(3.0), 0.01)
@@ -117,7 +116,7 @@ class TestFluidCdf:
         m = model(3.0)
         eps = 0.01
         rng = np.random.default_rng(43)
-        r = np.sqrt(eps**2 + rng.random(100_000) * (1 - eps**2))
+        r = np.sqrt(eps**2 + rng.random(100_000) * (MEAN_CELL_RADIUS**2 - eps**2))
         sample_db = np.array([fluid_sinr_db(m, ri) for ri in r])
         grid = np.linspace(sample_db.min(), sample_db.max(), 120)
         empirical = np.searchsorted(np.sort(sample_db), grid, side="right") / r.size
@@ -127,7 +126,7 @@ class TestFluidCdf:
     def test_array_matches_scalar(self):
         m = model(3.3)
         plain = FluidCdf(m, 0.01)
-        cdf = FluidCdf(m, 0.01, shift_db=1.5, cell_radius=MEAN_CELL_RADIUS)
+        cdf = FluidCdf(m, 0.01, shift_db=1.5)
         # reaches past both ends of the SINR range, where the CDF clips to 0 and 1
         grid = np.linspace(fluid_sinr_db(m, 1.2) - 5, fluid_sinr_db(m, 0.01) + 5, 301)
         values = plain.evaluate(grid)
@@ -149,9 +148,9 @@ class TestFluidCdf:
     @pytest.mark.parametrize("eta", [2.05, 3.0, 4.2, 6.0])
     @pytest.mark.parametrize("shifted", [False, True])
     def test_quantile_evaluate_round_trip_on_mean_cell_disk(self, eta, shifted):
-        # the mean-cell-area disk (~1.05 R_c) that the cdf, fit and outage outputs use
-        cdf = fluid_cdf_for(ExperimentConfig(), eta,
-                            CANONICAL_FIT.shift_db(eta) if shifted else 0.0)
+        # on the mean-cell-area disk (~1.05 R_c), at the exclusion the CLI uses
+        cdf = FluidCdf(model(eta), ExperimentConfig().exclusion,
+                       CANONICAL_FIT.shift_db(eta) if shifted else 0.0)
         for p in (0.01, 0.5, 0.99):
             assert abs(cdf.evaluate(cdf.quantile(p)) - p) <= 1e-9
 
@@ -218,7 +217,7 @@ class TestThroughput:
 
 
 def test_model_validation():
-    for eta in (2.0, 1.5):
+    for eta in (2.0, 1.5, float("nan")):
         with pytest.raises(DomainError, match="path loss exponent must exceed 2"):
             FluidModel(eta)
     assert FluidModel(3.0).eta == 3.0

@@ -89,6 +89,17 @@ class TestQuantile:
                 cdf.quantile(p)
 
 
+@pytest.mark.parametrize("cdf", [EmpiricalCdf([1.0, 2.0]), FluidCdf(FluidModel(3.0), 0.01)],
+                         ids=["empirical", "fluid"])
+def test_nan_is_outside_the_domain(cdf):
+    for p in (np.nan, [0.5, np.nan]):
+        with pytest.raises(DomainError, match=r"p must lie in \(0, 1\)"):
+            cdf.quantile(p)
+    for x in (np.nan, [0.0, np.nan]):
+        with pytest.raises(DomainError, match="nan"):
+            cdf.evaluate(x)
+
+
 class TestOutage:
     def test_bounds(self):
         cdf = EmpiricalCdf(np.arange(1.0, 101.0))
