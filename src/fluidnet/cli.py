@@ -104,7 +104,7 @@ def _out_dir(args) -> Path:
 
 def _write(out: Path, tables, report_text: str | None = None):
     """Create the checked --out directory and write the checked tables and report.txt.
-    Commands compute everything first, so a run that fails writes nothing."""
+    main calls it only once a command has returned, so a run that fails writes nothing."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -115,18 +115,15 @@ def _write(out: Path, tables, report_text: str | None = None):
             fh.write(report_text)
 
 
-def cmd_generate(args) -> int:
-    config = config_from_args(args)
-    out = _out_dir(args)
+def cmd_generate(args, config, out):
     if args.model == "hex":
         layout = generate_hexagonal(config.rings)
     else:
         layout = generate_poisson(region_for_expected_count(config.expected_stations),
                                   config.seed)
     path = out / "layout_0.csv"
-    _write(out, [layout_table(layout, path, config.seed, config.digest())])
-    _log(f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
-    return 0
+    return ([layout_table(layout, path, config.seed, config.digest())], None,
+            f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
 
 
 _MONTE_CARLO_KINDS = {"poisson": ModelKind.POISSON, "hex": ModelKind.HEXAGONAL}
@@ -147,21 +144,16 @@ def _cdf_tables(config, out: Path, model: str, cdfs: dict, **extra_comments) -> 
             for eta, cdf in cdfs.items()]
 
 
-def cmd_cdf(args) -> int:
-    config = config_from_args(args)
-    out = _out_dir(args)
+def cmd_cdf(args, config, out):
     tables = _cdf_tables(config, out, args.model, _cdfs(config, args.model))
-    _write(out, tables)
-    _log(f"cdf: {len(tables)} {args.model} curves -> {out}")
-    return 0
+    return tables, None, f"cdf: {len(tables)} {args.model} curves -> {out}"
 
 
-def _fit_shifts(args, config):
-    """Poisson CDFs, the shift fit, and the tables of fit.csv, the Poisson
-    and the fitted-fluid CDFs, shared by fit and report."""
+def _fit_shifts(args, config, out):
+    """Poisson CDFs, the shift fit, the tables of fit.csv, the Poisson and the
+    fitted-fluid CDFs, and the log line of the fit, shared by fit and report."""
     if len(config.eta_list) < 2:
         raise ConfigError(f"{args.command} needs at least 2 eta values")
-    out = _out_dir(args)
     poisson_cdfs = _cdfs(config, "poisson")
     shift_fit = fit_shift_law(config, poisson_cdfs)
     coeff = shift_fit.coefficients
@@ -172,26 +164,19 @@ def _fit_shifts(args, config):
                            {eta: FluidCdf(FluidModel(eta), config.exclusion, coeff.shift_db(eta))
                             for eta in config.eta_list},
                            a=coeff.a, b=coeff.b)]
-    return out, poisson_cdfs, shift_fit, tables
+    message = (f"{args.command}: a={coeff.a:.4f} b={coeff.b:.4f} "
+               f"rms={shift_fit.rms_residual_db:.4f} dB")
+    return poisson_cdfs, shift_fit, tables, message
 
 
-def _log_fit(args, shift_fit):
-    coeff = shift_fit.coefficients
-    _log(f"{args.command}: a={coeff.a:.4f} b={coeff.b:.4f} "
-         f"rms={shift_fit.rms_residual_db:.4f} dB")
+def cmd_fit(args, config, out):
+    _, _, tables, message = _fit_shifts(args, config, out)
+    return tables, None, message
 
 
-def cmd_fit(args) -> int:
-    out, _, shift_fit, tables = _fit_shifts(args, config_from_args(args))
-    _write(out, tables)
-    _log_fit(args, shift_fit)
-    return 0
-
-
-def cmd_report(args) -> int:
-    config = config_from_args(args)
+def cmd_report(args, config, out):
     thresholds = np.array(parse_float_list(args.outage_thresholds))
-    out, poisson_cdfs, shift_fit, tables = _fit_shifts(args, config)
+    poisson_cdfs, shift_fit, tables, message = _fit_shifts(args, config, out)
     digest = config.digest()
     fluid_cdfs = _cdfs(config, "fluid")
     tables += _cdf_tables(config, out, "fluid", fluid_cdfs)
@@ -227,12 +212,11 @@ def cmd_report(args) -> int:
              "", "eta  shift_db  zeta(fitted vs poisson)",
              *(f"  {eta:g}  {shift:.4f}  {zeta:.5f}"
                for eta, shift, zeta in zip(shift_fit.etas, shift_fit.shifts_db, zetas))]
-    _write(out, tables, "\n".join(lines) + "\n")
-    _log_fit(args, shift_fit)
-    _log(f"report: written to {out}")
-    return 0
+    return tables, "\n".join(lines) + "\n", f"{message}\nreport: written to {out}"
 
 
+# Each command computes from (args, config, out) and returns its tables, the
+# text of report.txt or None, and its log line; main writes, then logs.
 _COMMANDS = {"generate": cmd_generate, "cdf": cmd_cdf, "fit": cmd_fit, "report": cmd_report}
 
 
@@ -243,13 +227,18 @@ def main(argv=None) -> int:
         # a non-finite result raises DomainError where it is checked; numpy's
         # overflow warning would only precede it
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+            config = config_from_args(args)
+            out = _out_dir(args)
+            tables, report_text, message = _COMMANDS[args.command](args, config, out)
+            _write(out, tables, report_text)
     except ConfigError as exc:
         _log(f"error: {exc}")
         return 2
     except (FluidNetError, MemoryError) as exc:
         _log(f"error: {str(exc) or 'out of memory'}")
         return 3
+    _log(message)
+    return 0
 
 
 if __name__ == "__main__":

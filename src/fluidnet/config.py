@@ -13,7 +13,8 @@ DEFAULT_ETAS = tuple(round(2.2 + 0.2 * i, 1) for i in range(11))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full parameter set for one reproducible experiment; lengths in units of R_c."""
+    """Full parameter set for one reproducible experiment; lengths in units of R_c.
+    Checked whenever it is built, also by replace(): a bad setting raises ConfigError."""
 
     expected_stations: float = 50.0
     eta_list: tuple = DEFAULT_ETAS
@@ -23,7 +24,7 @@ class ExperimentConfig:
     exclusion: float = 0.01
     rings: int = 3
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         numbers = [getattr(self, k) for k, kind in _FIELD_TYPES.items() if kind is float]
         if not all(math.isfinite(v) for v in (*numbers, *self.eta_list)):
             raise ConfigError("every real-valued setting must be finite")
@@ -45,7 +46,6 @@ class ExperimentConfig:
             raise ConfigError("exclusion must lie in (0, 1)")
         if self.rings < 1:
             raise ConfigError("rings must be >= 1")
-        return self
 
     def canonical_items(self):
         for f in fields(self):
@@ -110,4 +110,4 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> 
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    return replace(cfg, **updates).validate()
+    return replace(cfg, **updates)

@@ -10,8 +10,7 @@ from __future__ import annotations
 from .config import ExperimentConfig
 from .fluid import FluidCdf, FluidModel, average_cell_throughput, cell_edge_throughput
 from .placement import ModelKind
-# perfbench's tracer hooks run_monte_carlo here until ROADMAP item 1 moves the hook.
-from .sinr import monte_carlo_sweep, run_monte_carlo  # noqa: F401
+from .sinr import run_monte_carlo
 from .stats import (CANONICAL_FIT, EmpiricalCdf, ShiftFit, cdf_curve_correlation,
                     empirical_cdf, fit_linear, mean_horizontal_shift)
 
@@ -22,7 +21,7 @@ def monte_carlo_cdfs(config: ExperimentConfig,
 
     Each eta's linear samples are released as soon as its CDF is built.
     """
-    samples = monte_carlo_sweep(config, model_kind)
+    samples = run_monte_carlo(config, model_kind=model_kind)
     return {eta: empirical_cdf(samples.pop(eta)) for eta in list(samples)}
 
 

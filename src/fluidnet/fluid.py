@@ -96,6 +96,8 @@ class FluidCdf:
     def __init__(self, model: FluidModel, exclusion: float, shift_db: float = 0.0):
         if not 0 < exclusion < 1:
             raise DomainError("exclusion must lie in (0, 1)")
+        if not math.isfinite(shift_db):
+            raise DomainError("CDF shift must be finite")
         self.model = model
         self.shift_db = shift_db
         self.inner_radius = exclusion
@@ -122,7 +124,7 @@ class FluidCdf:
 def spectral_efficiency(gamma):
     """Shannon spectral efficiency log2(1 + gamma) in bits/s/Hz."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g < 0):
+    if not np.all(g >= 0):
         raise DomainError("SINR must be nonnegative")
     return np.log2(1.0 + g)
 

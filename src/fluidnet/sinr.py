@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +94,14 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
             np.divide(gbest, g.sum(axis=1) - gbest, out=sinr_row[rows])
 
     # a zero interference or an overflow gives a non-finite SINR, for which
-    # monte_carlo_sweep raises DomainError; numpy's warning would only precede it
+    # run_monte_carlo raises DomainError; numpy's warning would only precede it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         map_row_blocks(reduce_rows, len(ue))
     return out
 
 
-def monte_carlo_sweep(config: ExperimentConfig,
-                      model_kind: ModelKind = ModelKind.POISSON) -> dict:
+def run_monte_carlo(config: ExperimentConfig, *,
+                    model_kind: ModelKind = ModelKind.POISSON) -> dict:
     """Monte Carlo SINR experiment for every path-loss exponent in config.eta_list.
 
     The UE set is drawn once. The Poisson model redraws the station layout
@@ -112,7 +112,6 @@ def monte_carlo_sweep(config: ExperimentConfig,
     eta so callers can release them one at a time.
     Raises DomainError when a layout yields a non-finite SINR.
     """
-    config.validate()
     etas = list(dict.fromkeys(config.eta_list))
     if model_kind is ModelKind.HEXAGONAL:
         hexagonal = generate_hexagonal(config.rings)
@@ -137,11 +136,3 @@ def monte_carlo_sweep(config: ExperimentConfig,
         for eta_samples, row in zip(samples, field):
             eta_samples[(k - 1) * n:k * n] = row
     return dict(zip(etas, samples))
-
-
-def run_monte_carlo(config: ExperimentConfig, eta: float,
-                    model_kind: ModelKind = ModelKind.POISSON) -> np.ndarray:
-    """Linear SINR samples for one path-loss exponent (see monte_carlo_sweep)."""
-    if eta <= 2:
-        raise DomainError("path loss exponent must exceed 2")
-    return monte_carlo_sweep(replace(config, eta_list=(eta,)), model_kind)[eta]

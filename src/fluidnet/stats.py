@@ -109,6 +109,8 @@ def fit_linear(etas, shifts) -> ShiftFit:
     y = np.asarray(shifts, dtype=float)
     if x.size != y.size or x.size < 2:
         raise DomainError("need at least 2 (eta, shift) points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("cannot fit a line through non-finite points")
     if np.ptp(x) == 0:
         raise DomainError("all eta values are equal")
     a, b = np.polyfit(x, y, deg=1)
@@ -124,6 +126,8 @@ def correlation_coefficient(xs, ys) -> float:
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 2:
         raise DomainError("inputs must have equal length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("correlation undefined for non-finite input")
     dx = x - x.mean()
     dy = y - y.mean()
     sx = np.sqrt(np.sum(dx**2))

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ class TestConfig:
         assert len(DEFAULT_ETAS) == 11
 
     def test_defaults_valid(self):
-        cfg = ExperimentConfig().validate()
+        cfg = ExperimentConfig()
         assert cfg.runs == 100 and cfg.users == 2000 and cfg.expected_stations == 50.0
 
     @pytest.mark.parametrize("bad", [
@@ -46,8 +46,13 @@ class TestConfig:
         {"expected_stations": 6e307},
     ])
     def test_validation_rejects(self, bad):
+        # a config is checked whenever it is built, however it is built
         with pytest.raises(ConfigError):
             config_from_mapping(bad)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
+        with pytest.raises(ConfigError):
+            replace(ExperimentConfig(), **bad)
 
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig()
@@ -120,6 +125,14 @@ def test_readme_lists_config_keys_and_shared_flags():
     shared = set.intersection(*(set(p._option_string_actions)
                                 for p in subparsers.choices.values()))
     assert documented == shared - {"-h", "--help"}
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's Python example runs as written against the current API
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def read_rows(path):
@@ -294,7 +307,7 @@ class TestCli:
                                                ("", "out of memory")])
     def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys, message, line):
         # a stand-in for an allocation that fails: a real one could succeed on a large host
-        def exhausted(args):
+        def exhausted(args, config, out):
             raise MemoryError(message)
         monkeypatch.setitem(cli._COMMANDS, "cdf", exhausted)
         assert main(["cdf", "--out", str(tmp_path)]) == 3

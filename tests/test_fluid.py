@@ -159,6 +159,11 @@ class TestFluidCdf:
         shifted = FluidCdf(model(3.0), 0.01, shift_db=2.0)
         assert shifted.quantile(0.5) == pytest.approx(base.quantile(0.5) - 2.0)
 
+    @pytest.mark.parametrize("shift_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, shift_db):
+        with pytest.raises(DomainError, match="shift must be finite"):
+            FluidCdf(model(3.0), 0.01, shift_db=shift_db)
+
     def test_mean_cell_radius(self):
         assert math.pi * MEAN_CELL_RADIUS**2 == pytest.approx(1.0 / DENSITY, rel=1e-12)
         assert MEAN_CELL_RADIUS == pytest.approx(math.sqrt(2 * SQRT3 / math.pi), rel=1e-12)
@@ -169,8 +174,9 @@ class TestThroughput:
         assert spectral_efficiency(1.0) == pytest.approx(1.0)
         assert spectral_efficiency(0.0) == 0.0
         assert spectral_efficiency(3.2) == pytest.approx(2.070389327891398, rel=1e-12)
-        with pytest.raises(DomainError):
-            spectral_efficiency(-0.1)
+        for bad in (-0.1, math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError):
+                spectral_efficiency(bad)
 
     def test_cell_edge_eta4(self):
         assert cell_edge_throughput(model(4.0)) == pytest.approx(1.0722140694581683,

@@ -7,10 +7,10 @@ import pytest
 from fluidnet import parallel
 from fluidnet import sinr as SINR_MODULE
 from fluidnet.config import ExperimentConfig
-from fluidnet.errors import DomainError
+from fluidnet.errors import ConfigError, DomainError
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
-from fluidnet.sinr import UserSet, monte_carlo_sweep, run_monte_carlo, sinr_field
+from fluidnet.sinr import UserSet, run_monte_carlo, sinr_field
 from oracles import Point, brute_force_sinr, normalized_sinr
 
 
@@ -153,19 +153,19 @@ class TestSinrField:
 class TestMonteCarlo:
     def test_determinism(self):
         cfg = ExperimentConfig(runs=2, users=50, eta_list=(3.0,), seed=12)
-        a = run_monte_carlo(cfg, 3.0)
-        b = run_monte_carlo(cfg, 3.0)
+        a = run_monte_carlo(cfg)[3.0]
+        b = run_monte_carlo(cfg)[3.0]
         assert np.array_equal(a, b)
 
     def test_sample_count_and_positivity(self):
         cfg = ExperimentConfig(runs=3, users=40, eta_list=(2.6,))
-        s = run_monte_carlo(cfg, 2.6)
+        s = run_monte_carlo(cfg)[2.6]
         assert s.shape == (120,)
         assert np.all(s > 0)
 
     def test_hexagonal_run_matches_direct_summation(self):
         cfg = ExperimentConfig(runs=1, users=30, eta_list=(3.0,), rings=2)
-        s = run_monte_carlo(cfg, 3.0, ModelKind.HEXAGONAL)
+        s = run_monte_carlo(cfg, model_kind=ModelKind.HEXAGONAL)[3.0]
         layout = generate_hexagonal(cfg.rings)
         users = SINR_MODULE.draw_user_set(layout.region, cfg.users, cfg.seed, cfg.exclusion)
         d = torus_distance_matrix(layout.region, users.points, layout.stations)
@@ -177,7 +177,7 @@ class TestMonteCarlo:
 
     def test_poisson_below_fluid_median(self):
         cfg = ExperimentConfig(runs=100, users=2000, eta_list=(3.0,), seed=3)
-        s = run_monte_carlo(cfg, 3.0)
+        s = run_monte_carlo(cfg)[3.0]
         # median of the fluid cell on the R_c disk: half the annulus area lies
         # inside x**2 = (1 + exclusion**2) / 2
         fluid_median = 10 * math.log10(normalized_sinr(3.0, math.sqrt((1 + 0.01**2) / 2)))
@@ -212,7 +212,7 @@ class TestMonteCarlo:
         # a wide exclusion radius makes the clamp recompute distances too
         cfg = ExperimentConfig(runs=4, users=60, eta_list=(2.4, 2.8, 3.2, 3.6, 4.0),
                                exclusion=0.3)
-        sweep = monte_carlo_sweep(cfg)
+        sweep = run_monte_carlo(cfg)
         assert list(sweep) == list(cfg.eta_list)
         assert counts["layouts"] == 4 and counts["distances"] == 4
         assert counts["clamp_distances"] > 0
@@ -220,11 +220,11 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("kind", [ModelKind.POISSON, ModelKind.HEXAGONAL])
     def test_sweep_matches_one_eta_runs(self, kind):
         cfg = ExperimentConfig(runs=3, users=50, eta_list=(2.3, 3.0, 4.5), seed=21)
-        sweep = monte_carlo_sweep(cfg, kind)
+        sweep = run_monte_carlo(cfg, model_kind=kind)
         # the hexagonal lattice is deterministic: measured once whatever runs is
         samples = 50 if kind is ModelKind.HEXAGONAL else 150
         for eta in cfg.eta_list:
-            single = run_monte_carlo(cfg, eta, kind)
+            single = run_monte_carlo(replace(cfg, eta_list=(eta,)), model_kind=kind)[eta]
             assert np.array_equal(sweep[eta], single)
             assert sweep[eta].shape == (samples,)
 
@@ -238,14 +238,20 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(SINR_MODULE, "generate_hexagonal", counted_generate)
         cfg = ExperimentConfig(runs=3, users=40, eta_list=(2.6, 3.4), seed=5)
-        sweep = monte_carlo_sweep(cfg, ModelKind.HEXAGONAL)
+        sweep = run_monte_carlo(cfg, model_kind=ModelKind.HEXAGONAL)
         assert len(calls) == 1
-        one_run = monte_carlo_sweep(replace(cfg, runs=1), ModelKind.HEXAGONAL)
+        one_run = run_monte_carlo(replace(cfg, runs=1), model_kind=ModelKind.HEXAGONAL)
         for eta in cfg.eta_list:
             assert sweep[eta].shape == (cfg.users,)
             assert np.array_equal(sweep[eta], one_run[eta])
 
     def test_invalid_eta(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(runs=1, users=10, eta_list=(1.5,))
+
+    def test_model_kind_is_keyword_only(self):
+        # a positional second argument, as in a one-eta call, is refused, not
+        # read as the model
         cfg = ExperimentConfig(runs=1, users=10, eta_list=(3.0,))
-        with pytest.raises(DomainError):
-            run_monte_carlo(cfg, 1.5)
+        with pytest.raises(TypeError):
+            run_monte_carlo(cfg, 3.0)

@@ -154,6 +154,16 @@ class TestFitLinear:
         with pytest.raises(DomainError, match="need at least 2"):
             fit_linear([3.0], [1.0])
 
+    @pytest.mark.parametrize("etas, shifts", [
+        ([2.6, 3.0], [1.0, np.nan]), ([2.6, np.inf], [1.0, 2.0]),
+        ([np.nan, 3.0], [1.0, 2.0]), ([2.6, 3.0], [-np.inf, 2.0]),
+    ])
+    def test_non_finite_points_rejected(self, etas, shifts, capfd):
+        # a DomainError, not a nan line or numpy's LinAlgError after LAPACK's stderr lines
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_linear(etas, shifts)
+        assert capfd.readouterr().err == ""
+
 
 class TestCorrelation:
     def test_perfect_correlation(self):
@@ -179,6 +189,12 @@ class TestCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             correlation_coefficient([1, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("xs, ys", [([1, 2, np.nan], [1, 2, 3]),
+                                        ([1, 2, 3], [np.inf, 2, 3])])
+    def test_non_finite_rejected(self, xs, ys):
+        with pytest.raises(DomainError, match="non-finite"):
+            correlation_coefficient(xs, ys)
 
 
 class TestCdfCurveCorrelation:

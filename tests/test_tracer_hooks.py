@@ -10,12 +10,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
 
-# Every span a small report records; sinr.mc hooks run_monte_carlo, which the CLI
-# does not call, so it never fires.
+# Every span a small report records.
 REPORT_SPANS = {"cli.main", "fluid.evaluate", "fluid.quantile", "fluid.throughput",
                 "geometry.distance", "io.write", "placement.hexagonal", "placement.poisson",
-                "sinr.clamp", "sinr.reduce", "stats.cdf", "stats.corr", "stats.evaluate",
-                "stats.fit", "stats.quantile", "stats.shift"}
+                "sinr.clamp", "sinr.mc", "sinr.reduce", "stats.cdf", "stats.corr",
+                "stats.evaluate", "stats.fit", "stats.quantile", "stats.shift"}
 
 
 def test_every_tracer_hook_resolves():
