@@ -72,16 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
+    """The config file's settings with the flags' overrides on top, checked once
+    as a whole, so that a flag can stand in for a bad value in the file."""
     mapping = load_config_file(args.config) if args.config else {}
-    cfg = config_from_mapping(mapping)
-    overrides = {}
     for key in ("seed", "runs", "users", "rings"):
         value = getattr(args, key, None)
         if value is not None:
-            overrides[key] = value
+            mapping[key] = value
     if getattr(args, "eta", None) is not None:
-        overrides["eta_list"] = parse_float_list(args.eta)
-    config = config_from_mapping(overrides, cfg)
+        mapping["eta_list"] = args.eta
+    config = config_from_mapping(mapping)
     labels = [_eta_label(eta) for eta in config.eta_list]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"eta values must differ in file label, got {','.join(labels)}")
@@ -135,21 +135,22 @@ def _cdfs(config, model: str) -> dict:
     return monte_carlo_cdfs(config, _MONTE_CARLO_KINDS[model])
 
 
-def _cdf_tables(config, out: Path, model: str, cdfs: dict, **extra_comments) -> list:
+def _cdf_tables(config, digest: str, out: Path, model: str, cdfs: dict,
+                **extra_comments) -> list:
     """One cdf_<model>_eta<eta>.csv table per {eta: cdf} entry: quantiles on a fixed p-grid."""
     return [cdf_table(out / f"cdf_{model}_eta{_eta_label(eta)}.csv",
                       cdf.quantile(_CDF_P_GRID), _CDF_P_GRID,
-                      {"digest": config.digest(), "model": model, "eta": eta,
+                      {"digest": digest, "model": model, "eta": eta,
                        "seed": config.seed, **extra_comments})
             for eta, cdf in cdfs.items()]
 
 
 def cmd_cdf(args, config, out):
-    tables = _cdf_tables(config, out, args.model, _cdfs(config, args.model))
+    tables = _cdf_tables(config, config.digest(), out, args.model, _cdfs(config, args.model))
     return tables, None, f"cdf: {len(tables)} {args.model} curves -> {out}"
 
 
-def _fit_shifts(args, config, out):
+def _fit_shifts(args, config, digest: str, out):
     """Poisson CDFs, the shift fit, the tables of fit.csv, the Poisson and the
     fitted-fluid CDFs, and the log line of the fit, shared by fit and report."""
     if len(config.eta_list) < 2:
@@ -158,9 +159,9 @@ def _fit_shifts(args, config, out):
     shift_fit = fit_shift_law(config, poisson_cdfs)
     coeff = shift_fit.coefficients
     tables = [fit_report_table(shift_fit, out / "fit.csv",
-                               {"digest": config.digest(), "seed": config.seed}),
-              *_cdf_tables(config, out, "poisson", poisson_cdfs),
-              *_cdf_tables(config, out, "fitted",
+                               {"digest": digest, "seed": config.seed}),
+              *_cdf_tables(config, digest, out, "poisson", poisson_cdfs),
+              *_cdf_tables(config, digest, out, "fitted",
                            {eta: FluidCdf(FluidModel(eta), config.exclusion, coeff.shift_db(eta))
                             for eta in config.eta_list},
                            a=coeff.a, b=coeff.b)]
@@ -170,17 +171,17 @@ def _fit_shifts(args, config, out):
 
 
 def cmd_fit(args, config, out):
-    _, _, tables, message = _fit_shifts(args, config, out)
+    _, _, tables, message = _fit_shifts(args, config, config.digest(), out)
     return tables, None, message
 
 
 def cmd_report(args, config, out):
     thresholds = np.array(parse_float_list(args.outage_thresholds))
-    poisson_cdfs, shift_fit, tables, message = _fit_shifts(args, config, out)
     digest = config.digest()
+    poisson_cdfs, shift_fit, tables, message = _fit_shifts(args, config, digest, out)
     fluid_cdfs = _cdfs(config, "fluid")
-    tables += _cdf_tables(config, out, "fluid", fluid_cdfs)
-    tables += _cdf_tables(config, out, "hex", _cdfs(config, "hex"))
+    tables += _cdf_tables(config, digest, out, "fluid", fluid_cdfs)
+    tables += _cdf_tables(config, digest, out, "hex", _cdfs(config, "hex"))
 
     etas = config.eta_list
     zetas = [correlation_for(config, eta, poisson_cdfs[eta]) for eta in etas]

@@ -22,8 +22,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError
 from .placement import DENSITY
 
-_BISECTION_REL_TOL = 1e-12
-_BISECTION_MAX_ITER = 200
+# Newton steps allowed to invert_sinr_db; eta from 2.05 to 40 and brackets from
+# [1e-6, MEAN_CELL_RADIUS] to [0.5, MEAN_CELL_RADIUS] take at most 15.
+_NEWTON_MAX_ITER = 50
 # Nodes and weights on [-1, 1] of the rule behind average_cell_throughput.
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 # Radius of the disk whose area equals the mean cell area 1/DENSITY,
@@ -59,26 +60,40 @@ def fluid_sinr_db(m: FluidModel, r):
 
 
 def invert_sinr_db(m: FluidModel, gamma_db, lo: float, hi: float):
-    """Solve fluid_sinr_db(m, r) = gamma_db on [lo, hi] by bisection.
+    """Solve fluid_sinr_db(m, r) = gamma_db on [lo, hi], 0 < lo < hi < 2.
 
-    Works elementwise on arrays. The profile is strictly decreasing on
-    (0, 2); an answer is clipped to the bracket if its gamma_db falls
-    outside the range, and each element stops once its interval is within
-    a relative 1e-12.
+    Works elementwise on arrays; an answer is clipped to lo or hi if its
+    gamma_db falls outside the profile's range on the bracket. Inside it,
+    Newton's method runs in u = log r on
+
+        h(u) = ln gamma(e^u) - ln 10 * gamma_db / 10
+             = ln c - eta*u + (eta - 2)*ln(2 - e^u) - ln 10 * gamma_db / 10,
+
+    with c = (eta - 2) / (2 pi DENSITY). h is decreasing and concave,
+    h'' = -(eta-2)*2e^u/(2-e^u)^2 < 0, so Newton started at u = log hi,
+    right of the root, moves left at each step and stays right of it:
+    no safeguard is needed. An element stops once a step no longer moves
+    it left, a few ulp from the root in r.
     """
     g = np.asarray(gamma_db, dtype=float)
     at_lo, at_hi = g >= fluid_sinr_db(m, lo), g <= fluid_sinr_db(m, hi)
-    a, b = np.full(g.shape, float(lo)), np.full(g.shape, float(hi))
-    active = ~(at_lo | at_hi)
-    for _ in range(_BISECTION_MAX_ITER):
+    inside = ~(at_lo | at_hi)
+    eta = m.eta
+    # h(u) = offset - eta*u + (eta-2)*ln(2 - e^u), one offset per element inside
+    offset = math.log((eta - 2) / (2 * math.pi * DENSITY)) - math.log(10) / 10 * g[inside]
+    u = np.full(offset.shape, math.log(hi))
+    active = np.ones(offset.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        r = np.exp(u)
+        h = offset - eta * u + (eta - 2) * np.log(2.0 - r)
+        u_next = u + h / (eta + (eta - 2) * r / (2.0 - r))
+        active &= u_next < u
         if not active.any():
             break
-        mid = 0.5 * (a + b)
-        right = fluid_sinr_db(m, mid) > g
-        a = np.where(active & right, mid, a)
-        b = np.where(active & ~right, mid, b)
-        active &= b - a > _BISECTION_REL_TOL * b
-    return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))[()]
+        u = np.where(active, u_next, u)
+    out = np.where(at_lo, float(lo), float(hi))
+    out[inside] = np.exp(u)
+    return out[()]
 
 
 class FluidCdf:
@@ -103,7 +118,9 @@ class FluidCdf:
         self.inner_radius = exclusion
 
     def evaluate(self, gamma_db):
-        """P(SINR in dB <= gamma_db); DomainError at nan."""
+        """P(SINR in dB <= gamma_db): the annulus area share beyond the radius
+        invert_sinr_db gives for gamma_db + shift_db; 0 below the SINR range
+        and 1 above it, -inf and inf included. DomainError at nan."""
         g = np.asarray(gamma_db, dtype=float)
         if np.isnan(g).any():
             raise DomainError("cannot evaluate a CDF at nan")

@@ -8,6 +8,8 @@ writes the checked tables.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError
@@ -32,16 +34,35 @@ def check_finite(path, name, column) -> np.ndarray:
     return arr
 
 
+@functools.lru_cache(maxsize=4)
+def _formatted(dtype: str, data: bytes) -> tuple:
+    """The text of each value of a 1-d column, given by its dtype and raw bytes.
+
+    A column that recurs in file after file (the p-grid of every cdf_*
+    file, the r and cdf columns of every fluid_curve_* file) is formatted
+    once while it stays among the last four distinct columns written.
+    """
+    return tuple(map(repr, np.frombuffer(data, dtype).tolist()))
+
+
+def _column_text(column):
+    arr = np.asarray(column)
+    if arr.dtype.hasobject:   # the bytes of an object array are pointers, not values
+        return map(repr, arr.tolist())
+    return _formatted(arr.dtype.str, arr.tobytes())
+
+
 def write_csv(path, header, columns, comments=None, footer_comments=None):
     """One CSV file from equal-length, single-dtype columns.
 
     Each column becomes Python scalars once (`tolist`), so a float prints
-    as `repr(float)` and an integer as `str(int)`, as `fmt` prints them.
+    as `repr(float)` and an integer as `str(int)`, as `fmt` prints them;
+    a column equal in dtype and bytes to a recent one reuses its text.
     The columns are not checked for non-finite numbers; checked_table does
     that. A ragged table or a header of another length raises ValueError
     before the file is opened.
     """
-    cols = [map(repr, np.asarray(col).tolist()) for _, col in zip(header, columns, strict=True)]
+    cols = [_column_text(col) for _, col in zip(header, columns, strict=True)]
     lines = [*(f"# {key}={fmt(value)}" for key, value in (comments or {}).items()),
              ",".join(header),
              *map(",".join, zip(*cols, strict=True)),

@@ -58,16 +58,21 @@ def normalized_sinr(eta: float, x: float) -> float:
         * x ** (-eta) * (2 - x) ** (eta - 2)
 
 
-def rc_disk_cdf(eta: float, exclusion: float, gamma_db: float) -> float:
-    """P(SINR in dB <= gamma_db) of the fluid cell for a UE uniform on the
-    annulus exclusion <= x <= 1 (the R_c disk), with the radius at gamma_db
-    found by brentq on normalized_sinr."""
+def fluid_radius(eta: float, gamma_db: float, lo: float, hi: float) -> float:
+    """The x in [lo, hi] at which the fluid SINR is gamma_db dB, by brentq on
+    normalized_sinr to about 1e-15 relative; lo above the range, hi below it."""
     def excess_db(x):
         return 10 * math.log10(normalized_sinr(eta, x)) - gamma_db
 
-    if excess_db(1.0) >= 0:
-        return 0.0
-    if excess_db(exclusion) <= 0:
-        return 1.0
-    x = brentq(excess_db, exclusion, 1.0, xtol=1e-15)
+    if excess_db(lo) <= 0:
+        return lo
+    if excess_db(hi) >= 0:
+        return hi
+    return brentq(excess_db, lo, hi, xtol=1e-300, rtol=1e-15)
+
+
+def rc_disk_cdf(eta: float, exclusion: float, gamma_db: float) -> float:
+    """P(SINR in dB <= gamma_db) of the fluid cell for a UE uniform on the
+    annulus exclusion <= x <= 1 (the R_c disk)."""
+    x = fluid_radius(eta, gamma_db, exclusion, 1.0)
     return (1 - x**2) / (1 - exclusion**2)

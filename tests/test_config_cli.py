@@ -411,3 +411,16 @@ class TestCli:
                      "--eta", "3.0", "--out", str(out)]) == 0
         assert (out / "cdf_poisson_eta3.csv").exists()
         assert not (out / "cdf_poisson_eta2.8.csv").exists()
+
+    def test_flag_overrides_bad_file_value(self, tmp_path, capsys):
+        # the file and the flags make one config, checked once: a flag stands in for
+        # a bad value in the file, and without the flag the file is refused
+        conf = tmp_path / "exp.conf"
+        conf.write_text("users = 0\n")
+        argv = ["cdf", "--model", "fluid", "--config", str(conf), "--eta", "3"]
+        assert main([*argv, "--users", "10", "--out", str(tmp_path / "ok")]) == 0
+        assert (tmp_path / "ok" / "cdf_fluid_eta3.csv").exists()
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == "error: runs and users must be >= 1\n"
+        assert not (tmp_path / "bad").exists()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fluidnet.fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell
                             invert_sinr_db, spectral_efficiency)
 from fluidnet.placement import DENSITY
 from fluidnet.stats import CANONICAL_FIT
-from oracles import normalized_sinr
+from oracles import fluid_radius, normalized_sinr
 
 SQRT3 = math.sqrt(3.0)
 
@@ -104,12 +105,33 @@ class TestFluidCdf:
         values = [cdf.evaluate(g) for g in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_bisection_round_trip(self):
+    def test_inversion_round_trip(self):
         m = model(3.3)
         for g in np.linspace(fluid_sinr_db(m, 1.0) + 0.01,
                              fluid_sinr_db(m, 0.011) - 0.01, 40):
             r = invert_sinr_db(m, g, 0.01, 1.0)
             assert fluid_sinr_db(m, r) == pytest.approx(g, abs=1e-9)
+
+    @pytest.mark.parametrize("eta", [2.05, 3.0, 4.5, 6.0, 20.0])
+    @pytest.mark.parametrize("lo, hi", [(0.01, MEAN_CELL_RADIUS), (1e-6, 1.0)],
+                             ids=["cli_annulus", "wide"])
+    def test_inversion_matches_brentq(self, eta, lo, hi):
+        # thresholds from 3 dB below the bracket's SINR range to 3 dB above it
+        m = model(eta)
+        grid = np.linspace(fluid_sinr_db(m, hi) - 3, fluid_sinr_db(m, lo) + 3, 121)
+        expected = np.array([fluid_radius(eta, g, lo, hi) for g in grid])
+        assert expected[0] == hi and expected[-1] == lo
+        np.testing.assert_allclose(invert_sinr_db(m, grid, lo, hi), expected, rtol=1e-12, atol=0)
+
+    def test_evaluate_infinite_and_empty(self):
+        cdf = FluidCdf(model(3.0), 0.01, shift_db=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cdf.evaluate(math.inf) == 1.0 and cdf.evaluate(-math.inf) == 0.0
+            np.testing.assert_array_equal(cdf.evaluate([-math.inf, 0.0, math.inf])[[0, 2]],
+                                          [0.0, 1.0])
+            empty = cdf.evaluate(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
     def test_against_sampling_oracle(self):
         # independent oracle: sample radii uniform by area on the annulus
@@ -131,11 +153,11 @@ class TestFluidCdf:
         grid = np.linspace(fluid_sinr_db(m, 1.2) - 5, fluid_sinr_db(m, 0.01) + 5, 301)
         values = plain.evaluate(grid)
         assert values[0] == 0.0 and values[-1] == 1.0
-        # array and scalar pow may round differently in the last bit, which can flip
-        # the final bisection step: allow one bracket width (1e-12 relative in r)
-        np.testing.assert_allclose(values, [plain.evaluate(g) for g in grid], rtol=0, atol=1e-11)
+        # array and scalar exp/log may round differently in the last bit, which
+        # moves the Newton root by a few ulp
+        np.testing.assert_allclose(values, [plain.evaluate(g) for g in grid], rtol=0, atol=1e-13)
         np.testing.assert_allclose(cdf.evaluate(grid), [cdf.evaluate(g) for g in grid],
-                                   rtol=0, atol=1e-11)
+                                   rtol=0, atol=1e-13)
         r = np.linspace(0.01, 1.99, 50)
         np.testing.assert_allclose(fluid_sinr(m, r), [fluid_sinr(m, ri) for ri in r], rtol=1e-14)
         assert isinstance(plain.evaluate(3.0), float) and isinstance(fluid_sinr(m, 0.5), float)
