@@ -13,28 +13,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_from_mapping, load_config_file, parse_float_list
+from .config import (ExperimentConfig, config_from_mapping, eta_label, load_config_file,
+                     parse_float_list)
 from .errors import ConfigError, FluidNetError
 from .experiment import correlation_for, fit_shift_law, monte_carlo_cdfs, throughput_for
-from .fluid import FluidCdf, FluidModel
-from .io import (cdf_table, checked_table, fit_report_table, fluid_curve_table, layout_table,
-                 write_tables)
-from .placement import (ModelKind, generate_hexagonal, generate_poisson,
+from .fluid import FluidCdf, FluidModel, fluid_curve
+from .io import checked_table, write_tables
+from .placement import (DENSITY, ModelKind, generate_hexagonal, generate_poisson,
                         region_for_expected_count)
 from .stats import CANONICAL_FIT
 
-CDF_ROWS = 512
-_CDF_P_GRID = np.arange(1, CDF_ROWS + 1) / (CDF_ROWS + 1)
+# Rows of each cdf_* and fluid_curve_* file: points of its p-grid or r-grid.
+TABLE_ROWS = 512
+_CDF_P_GRID = np.arange(1, TABLE_ROWS + 1) / (TABLE_ROWS + 1)
 
 DEFAULT_OUTAGE_THRESHOLDS = (-10.0, -5.0, 0.0, 5.0, 10.0)
 
 
 def _log(msg):
     print(msg, file=sys.stderr)
-
-
-def _eta_label(eta: float) -> str:
-    return f"{round(float(eta), 4):g}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,11 +78,7 @@ def config_from_args(args) -> ExperimentConfig:
             mapping[key] = value
     if getattr(args, "eta", None) is not None:
         mapping["eta_list"] = args.eta
-    config = config_from_mapping(mapping)
-    labels = [_eta_label(eta) for eta in config.eta_list]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"eta values must differ in file label, got {','.join(labels)}")
-    return config
+    return config_from_mapping(mapping)
 
 
 def _out_dir(args) -> Path:
@@ -122,7 +115,13 @@ def cmd_generate(args, config, out):
         layout = generate_poisson(region_for_expected_count(config.expected_stations),
                                   config.seed)
     path = out / "layout_0.csv"
-    return ([layout_table(layout, path, config.seed, config.digest())], None,
+    stations = layout.stations
+    table = checked_table(path, ["bs_id", "x", "y"],
+                          [np.arange(len(stations)), stations[:, 0], stations[:, 1]],
+                          {"model": layout.model.value, "seed": config.seed, "density": DENSITY,
+                           "width": layout.region.width, "height": layout.region.height,
+                           "digest": config.digest()})
+    return ([table], None,
             f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
 
 
@@ -138,10 +137,10 @@ def _cdfs(config, model: str) -> dict:
 def _cdf_tables(config, digest: str, out: Path, model: str, cdfs: dict,
                 **extra_comments) -> list:
     """One cdf_<model>_eta<eta>.csv table per {eta: cdf} entry: quantiles on a fixed p-grid."""
-    return [cdf_table(out / f"cdf_{model}_eta{_eta_label(eta)}.csv",
-                      cdf.quantile(_CDF_P_GRID), _CDF_P_GRID,
-                      {"digest": digest, "model": model, "eta": eta,
-                       "seed": config.seed, **extra_comments})
+    return [checked_table(out / f"cdf_{model}_eta{eta_label(eta)}.csv",
+                          ["sinr_db", "probability"], [cdf.quantile(_CDF_P_GRID), _CDF_P_GRID],
+                          {"digest": digest, "model": model, "eta": eta,
+                           "seed": config.seed, **extra_comments})
             for eta, cdf in cdfs.items()]
 
 
@@ -158,8 +157,13 @@ def _fit_shifts(args, config, digest: str, out):
     poisson_cdfs = _cdfs(config, "poisson")
     shift_fit = fit_shift_law(config, poisson_cdfs)
     coeff = shift_fit.coefficients
-    tables = [fit_report_table(shift_fit, out / "fit.csv",
-                               {"digest": digest, "seed": config.seed}),
+    tables = [checked_table(out / "fit.csv",
+                            ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
+                            [shift_fit.etas, shift_fit.shifts_db, shift_fit.predicted_db,
+                             shift_fit.residuals_db],
+                            {"digest": digest, "seed": config.seed},
+                            footer_comments={"a": coeff.a, "b": coeff.b,
+                                             "rms": shift_fit.rms_residual_db}),
               *_cdf_tables(config, digest, out, "poisson", poisson_cdfs),
               *_cdf_tables(config, digest, out, "fitted",
                            {eta: FluidCdf(FluidModel(eta), config.exclusion, coeff.shift_db(eta))
@@ -202,8 +206,10 @@ def cmd_report(args, config, out):
         out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
         [etas, *zip(*(throughput_for(config, eta) for eta in etas))], {"digest": digest}))
 
-    tables += [fluid_curve_table(FluidModel(eta), out / f"fluid_curve_eta{_eta_label(eta)}.csv",
-                                 config.exclusion, comments={"digest": digest, "eta": eta})
+    tables += [checked_table(out / f"fluid_curve_eta{eta_label(eta)}.csv",
+                             ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"],
+                             fluid_curve(FluidModel(eta), config.exclusion, TABLE_ROWS),
+                             {"digest": digest, "eta": eta})
                for eta in etas]
 
     coeff = shift_fit.coefficients

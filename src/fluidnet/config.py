@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DomainError
 from .placement import region_for_expected_count
@@ -46,6 +46,9 @@ class ExperimentConfig:
             raise ConfigError("exclusion must lie in (0, 1)")
         if self.rings < 1:
             raise ConfigError("rings must be >= 1")
+        labels = [eta_label(eta) for eta in self.eta_list]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"eta values must differ in file label, got {','.join(labels)}")
 
     def canonical_items(self):
         for f in fields(self):
@@ -58,6 +61,11 @@ class ExperimentConfig:
         """Short content hash identifying this configuration."""
         text = "\n".join(f"{k}={v!r}" for k, v in self.canonical_items())
         return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def eta_label(eta: float) -> str:
+    """The text that names eta in the per-eta output files."""
+    return f"{round(float(eta), 4):g}"
 
 
 # the type of each settable key is that of its default; eta_list is parsed apart
@@ -97,8 +105,7 @@ def load_config_file(path) -> dict:
     return mapping
 
 
-def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
+def config_from_mapping(mapping: dict) -> ExperimentConfig:
     updates = {}
     for key, value in mapping.items():
         if key == "eta_list":
@@ -110,4 +117,4 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> 
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    return replace(cfg, **updates)
+    return ExperimentConfig(**updates)

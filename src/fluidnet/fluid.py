@@ -138,6 +138,21 @@ class FluidCdf:
         return fluid_sinr_db(self.model, r) - self.shift_db
 
 
+def fluid_curve(m: FluidModel, exclusion: float, rows: int) -> tuple:
+    """Fluid cell profile on a geometric r-grid of `rows` radii from exclusion
+    to R_c = 1: the columns (r, SINR in dB, CDF, spectral efficiency).
+
+    SINR falls with r, so the CDF at the SINR of radius r is the area
+    share of the annulus beyond it, (1 - r^2) / (1 - exclusion^2): over the
+    R_c disk, not FluidCdf's mean-cell disk.
+    """
+    if not 0 < exclusion < 1:
+        raise DomainError("exclusion must lie in (0, 1)")
+    r = np.geomspace(exclusion, 1.0, rows)
+    gamma = fluid_sinr(m, r)
+    return r, 10.0 * np.log10(gamma), (1 - r**2) / (1 - exclusion**2), spectral_efficiency(gamma)
+
+
 def spectral_efficiency(gamma):
     """Shannon spectral efficiency log2(1 + gamma) in bits/s/Hz."""
     g = np.asarray(gamma, dtype=float)

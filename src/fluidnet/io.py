@@ -2,9 +2,9 @@
 
 All files are plain CSV with `#`-prefixed metadata comment lines before
 the header, LF line endings and full-precision floats, so reruns with
-the same configuration are byte-identical. Lengths are in units of R_c.
-The *_table builders check a table without writing it; write_tables
-writes the checked tables.
+the same configuration are byte-identical. This module holds only the
+format: each command builds its tables with checked_table, which checks
+a table without writing it, and write_tables writes the checked tables.
 """
 from __future__ import annotations
 
@@ -13,10 +13,6 @@ import functools
 import numpy as np
 
 from .errors import DomainError
-from .fluid import fluid_sinr, spectral_efficiency
-from .placement import DENSITY
-
-FLUID_CURVE_ROWS = 512
 
 
 def fmt(value) -> str:
@@ -84,38 +80,3 @@ def write_tables(tables):
     for table in tables:
         write_csv(*table)
 
-
-def layout_table(layout, path, seed, digest):
-    comments = {"model": layout.model.value, "seed": seed, "density": DENSITY,
-                "width": layout.region.width, "height": layout.region.height, "digest": digest}
-    stations = layout.stations
-    return checked_table(path, ["bs_id", "x", "y"],
-                         [np.arange(len(stations)), stations[:, 0], stations[:, 1]], comments)
-
-
-def cdf_table(path, sinr_db, probability, comments):
-    return checked_table(path, ["sinr_db", "probability"], [sinr_db, probability], comments)
-
-
-def fluid_curve_table(model, path, exclusion, comments):
-    """Fluid cell profile on a geometric r-grid: SINR, CDF, spectral efficiency.
-
-    SINR falls with r, so the CDF at the SINR of radius r is the area
-    share of the annulus beyond it, (1 - r^2) / (1 - exclusion^2): over the
-    R_c disk, not FluidCdf's mean-cell disk.
-    """
-    r = np.geomspace(exclusion, 1.0, FLUID_CURVE_ROWS)
-    gamma = fluid_sinr(model, r)
-    return checked_table(path, ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"],
-                         [r, 10.0 * np.log10(gamma), (1 - r**2) / (1 - exclusion**2),
-                          spectral_efficiency(gamma)], comments)
-
-
-def fit_report_table(shift_fit, path, comments):
-    coeff = shift_fit.coefficients
-    predicted = [coeff.shift_db(eta) for eta in shift_fit.etas]
-    return checked_table(path, ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
-                         [shift_fit.etas, shift_fit.shifts_db, predicted, shift_fit.residuals()],
-                         comments,
-                         footer_comments={"a": coeff.a, "b": coeff.b,
-                                          "rms": shift_fit.rms_residual_db})

@@ -6,7 +6,6 @@ of every other station, r_best^-eta / sum_{j != best} r_j^-eta.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -46,22 +45,30 @@ def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarra
     """Reposition UEs closer than the exclusion radius to their best server.
 
     Offenders are pushed radially (away from the server, along the
-    nearest-image direction) to exactly the exclusion radius and their
-    distance rows are recomputed.
+    nearest-image direction) to the exclusion radius and the distance rows
+    of those that moved are recomputed. Rounding can leave a pushed UE a few
+    ulp inside the radius, where the next push puts it back in place: once
+    a pass moves no UE, every later pass would repeat it, so the clamp stops.
     """
+    period = np.array([region.width, region.height])
+    rows = np.arange(len(ue))
     for _ in range(_CLAMP_PASSES):
         best = np.argmin(d, axis=1)
-        dbest = d[np.arange(len(ue)), best]
-        offenders = np.nonzero(dbest < exclusion_radius)[0]
+        offenders = np.nonzero(d[rows, best] < exclusion_radius)[0]
         if offenders.size == 0:
             break
-        for idx in offenders:
-            bs = stations[best[idx]]
-            disp = wrapped_displacement(region, bs, ue[idx])
-            norm = math.hypot(disp[0], disp[1])
-            unit = disp / norm if norm > 0 else np.array([1.0, 0.0])
-            moved = bs + exclusion_radius * unit
-            ue[idx] = [moved[0] % region.width, moved[1] % region.height]
+        bs = stations[best[offenders]]
+        disp = wrapped_displacement(region, bs, ue[offenders])
+        norm = np.hypot(disp[:, 0], disp[:, 1])[:, None]
+        unit = np.zeros_like(disp)
+        unit[:, 0] = 1.0  # the direction of a UE that sits on its server
+        np.divide(disp, norm, out=unit, where=norm > 0)
+        pushed = (bs + exclusion_radius * unit) % period
+        moves = (pushed != ue[offenders]).any(axis=1)
+        if not moves.any():
+            break
+        offenders = offenders[moves]
+        ue[offenders] = pushed[moves]
         d[offenders] = torus_distance_matrix(region, ue[offenders], stations)
     return d
 
@@ -112,7 +119,7 @@ def run_monte_carlo(config: ExperimentConfig, *,
     eta so callers can release them one at a time.
     Raises DomainError when a layout yields a non-finite SINR.
     """
-    etas = list(dict.fromkeys(config.eta_list))
+    etas = config.eta_list
     if model_kind is ModelKind.HEXAGONAL:
         hexagonal = generate_hexagonal(config.rings)
         region, runs = hexagonal.region, 1

@@ -37,16 +37,15 @@ CANONICAL_FIT = FitCoefficients(a=3.0, b=-6.0)
 
 @dataclass(frozen=True)
 class ShiftFit:
-    """Per-eta mean shifts and the fitted line through them."""
+    """Per-eta mean shifts, the fitted line through them, and per eta the
+    line's shift a*eta + b and the residual shift minus line."""
 
     etas: tuple
     shifts_db: tuple
     coefficients: FitCoefficients
+    predicted_db: tuple
+    residuals_db: tuple
     rms_residual_db: float
-
-    def residuals(self) -> np.ndarray:
-        pred = np.array([self.coefficients.shift_db(e) for e in self.etas])
-        return np.asarray(self.shifts_db) - pred
 
 
 class EmpiricalCdf:
@@ -114,9 +113,11 @@ def fit_linear(etas, shifts) -> ShiftFit:
     if np.ptp(x) == 0:
         raise DomainError("all eta values are equal")
     a, b = np.polyfit(x, y, deg=1)
-    residuals = y - (a * x + b)
+    predicted = a * x + b
+    residuals = y - predicted
     return ShiftFit(etas=tuple(x), shifts_db=tuple(y),
                     coefficients=FitCoefficients(a=float(a), b=float(b)),
+                    predicted_db=tuple(predicted), residuals_db=tuple(residuals),
                     rms_residual_db=float(np.sqrt(np.mean(residuals**2))))
 
 

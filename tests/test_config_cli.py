@@ -44,6 +44,8 @@ class TestConfig:
         {"expected_stations": float("nan")},
         {"seed": -1},
         {"expected_stations": 6e307},
+        {"eta_list": (3.00001, 3.00002)},   # one file label, 3
+        {"eta_list": (3.0, 3.0)},
     ])
     def test_validation_rejects(self, bad):
         # a config is checked whenever it is built, however it is built
@@ -199,8 +201,8 @@ class TestCli:
         for argv in (["cdf", "--model", "poisson", "--eta", "3.00001,3.00002",
                       "--runs", "1", "--users", "10"], ["fit", "--eta", "3,3"]):
             assert main([*argv, "--out", str(tmp_path / "dup")]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert capsys.readouterr().err == \
+                "error: eta values must differ in file label, got 3,3\n"
         assert not (tmp_path / "dup").exists()
 
     def test_nan_config_value_exits_2(self, tmp_path):

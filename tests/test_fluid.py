@@ -8,11 +8,11 @@ from scipy.integrate import quad
 from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError
 from fluidnet.fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell_throughput,
-                            cell_edge_throughput, fluid_sinr, fluid_sinr_db,
+                            cell_edge_throughput, fluid_curve, fluid_sinr, fluid_sinr_db,
                             invert_sinr_db, spectral_efficiency)
 from fluidnet.placement import DENSITY
 from fluidnet.stats import CANONICAL_FIT
-from oracles import fluid_radius, normalized_sinr
+from oracles import fluid_radius, normalized_sinr, rc_disk_cdf
 
 SQRT3 = math.sqrt(3.0)
 
@@ -189,6 +189,27 @@ class TestFluidCdf:
     def test_mean_cell_radius(self):
         assert math.pi * MEAN_CELL_RADIUS**2 == pytest.approx(1.0 / DENSITY, rel=1e-12)
         assert MEAN_CELL_RADIUS == pytest.approx(math.sqrt(2 * SQRT3 / math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [2.3, 3.0, 5.5])
+@pytest.mark.parametrize("exclusion", [0.01, 0.4])
+def test_fluid_curve_against_oracles(eta, exclusion):
+    r, sinr_db, cdf, efficiency = fluid_curve(model(eta), exclusion, 65)
+    assert r.size == 65 and r[0] == exclusion and r[-1] == 1.0
+    assert np.allclose(r[1:] / r[:-1], exclusion ** (-1 / 64), rtol=1e-12, atol=0)
+    gamma = np.array([normalized_sinr(eta, x) for x in r])
+    assert np.allclose(sinr_db, 10 * np.log10(gamma), rtol=0, atol=1e-12)
+    assert np.allclose(efficiency, np.log2(1 + gamma), rtol=1e-12, atol=0)
+    # the CDF over the R_c disk, at the SINR of each radius
+    expected = [rc_disk_cdf(eta, exclusion, g) for g in sinr_db]
+    assert np.max(np.abs(cdf - expected)) <= 1e-9
+    assert cdf[0] == 1.0 and cdf[-1] == 0.0
+
+
+@pytest.mark.parametrize("exclusion", [0.0, 1.0, 1.5, math.nan])
+def test_fluid_curve_refuses_exclusion_outside_the_unit_interval(exclusion):
+    with pytest.raises(DomainError, match="exclusion must lie in"):
+        fluid_curve(model(3.0), exclusion, 8)
 
 
 class TestThroughput:

@@ -11,7 +11,7 @@ from fluidnet.errors import ConfigError, DomainError
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
 from fluidnet.sinr import UserSet, run_monte_carlo, sinr_field
-from oracles import Point, brute_force_sinr, normalized_sinr
+from oracles import Point, brute_force_sinr, image_distance, normalized_sinr
 
 
 def make_layout(stations, width=10.0, height=10.0):
@@ -148,6 +148,47 @@ class TestSinrField:
             worker_count(workers)
             fields.append(sinr_field(layout, [2.4, 3.3, 4.1], users))
         assert all(np.array_equal(fields[0], f) for f in fields[1:])
+
+
+def clamp_counting_measures(monkeypatch, layout, ue, radius):
+    """Run the clamp on ue in place; returns its distance rows and its re-measures."""
+    distances, calls = SINR_MODULE.torus_distance_matrix, []
+
+    def counted_distances(*args):
+        calls.append(args)
+        return distances(*args)
+
+    d = distances(layout.region, ue, layout.stations)
+    monkeypatch.setattr(SINR_MODULE, "torus_distance_matrix", counted_distances)
+    d = SINR_MODULE._clamp_to_exclusion(layout.region, layout.stations, ue, d, radius)
+    return d, len(calls)
+
+
+class TestExclusionClamp:
+    def test_rounding_offender_takes_one_move(self, monkeypatch):
+        # the push lands the UE 5.6e-16 inside the radius; the next push puts it back
+        # where it is, so the clamp stops instead of re-measuring it pass after pass
+        layout = make_layout([[4, 4], [8, 7]])
+        ue = np.array([[4.05, 4.05]])
+        d, measures = clamp_counting_measures(monkeypatch, layout, ue, 0.3)
+        assert measures == 1
+        assert ue[0] == pytest.approx(4 + 0.3 / math.sqrt(2), abs=1e-15)
+        assert d[0, 0] == pytest.approx(0.3, abs=1e-15)
+        assert np.array_equal(d, torus_distance_matrix(layout.region, ue, layout.stations))
+
+    def test_push_across_the_torus_edge(self, monkeypatch):
+        # the station's nearest image lies across both edges; the push wraps back in
+        layout = make_layout([[0.1, 9.9], [5, 5]])
+        ue = np.array([[9.95, 0.05]])
+        d, measures = clamp_counting_measures(monkeypatch, layout, ue, 0.3)
+        step = 0.3 / math.sqrt(2)
+        assert ue[0] == pytest.approx([10.1 - step, step - 0.1], abs=1e-12)
+        assert np.all((0 <= ue) & (ue < 10))
+        station = Point(*layout.stations[0])
+        assert image_distance(layout.region, Point(*ue[0]), station) == pytest.approx(0.3,
+                                                                                       abs=1e-12)
+        assert d[0, 0] == pytest.approx(0.3, abs=1e-12)
+        assert measures == 1
 
 
 class TestMonteCarlo:

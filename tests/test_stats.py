@@ -146,7 +146,18 @@ class TestFitLinear:
         etas = np.linspace(2.2, 4.2, 11)
         fit = fit_linear(etas, 3.0 * etas - 6.0)
         assert fit.rms_residual_db == pytest.approx(0.0, abs=1e-9)
-        assert np.allclose(fit.residuals(), 0.0, atol=1e-9)
+        assert np.allclose(fit.residuals_db, 0.0, atol=1e-9)
+
+    def test_predicted_and_residuals_are_the_line_bit_for_bit(self):
+        # fit.csv prints them: the line a*eta + b and shift minus line, in float64
+        rng = np.random.default_rng(41)
+        etas = np.linspace(2.6, 3.8, 7)
+        fit = fit_linear(etas, 3.0 * etas - 6.0 + rng.normal(0.0, 0.2, etas.size))
+        predicted = [fit.coefficients.a * eta + fit.coefficients.b for eta in fit.etas]
+        residuals = [shift - line for shift, line in zip(fit.shifts_db, predicted)]
+        assert np.array_equal(fit.predicted_db, predicted)
+        assert np.array_equal(fit.residuals_db, residuals)
+        assert fit.rms_residual_db == float(np.sqrt(np.mean(np.square(residuals))))
 
     def test_degenerate_inputs(self):
         with pytest.raises(DomainError, match="all eta values are equal"):
