@@ -25,6 +25,13 @@ class ExperimentConfig:
     rings: int = 3
 
     def __post_init__(self):
+        # one experiment, one value: a list or integer eta_list becomes a tuple of
+        # floats, so it hashes and digests as the same run given as floats
+        try:
+            etas = tuple(float(eta) for eta in self.eta_list)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"eta_list must hold numbers, got {self.eta_list!r}") from exc
+        object.__setattr__(self, "eta_list", etas)
         numbers = [getattr(self, k) for k, kind in _FIELD_TYPES.items() if kind is float]
         if not all(math.isfinite(v) for v in (*numbers, *self.eta_list)):
             raise ConfigError("every real-valued setting must be finite")

@@ -10,10 +10,11 @@ import os
 import threading
 from contextvars import copy_context
 
-# Fewest rows per block. Timing sinr_field (distances plus an 11-eta
-# reduction) on a 2 vCPU Xeon, one block against two: with 50 stations,
-# two blocks of 128 rows broke even, of 192 rows saved 15-18% and of 256
-# rows 19-24%; with 200 stations, blocks of 128 rows already saved a third.
+# Fewest rows per block. Timing sinr_field (sqrt distances, log once, then
+# one exp per eta) on a 2 vCPU Xeon, one block against two, median of 15
+# best-of-40 runs: with 50 stations and 11 eta, two blocks of 128, 192 and
+# 256 rows took 70%, 42% and 18% longer than one; with 200 stations and
+# 7 eta they were within 11% of one block either way. No smaller block pays.
 MIN_ROWS = 256
 
 try:

@@ -3,6 +3,15 @@
 The SINR is interference-limited, like the fluid closed form: the path
 gain r^-eta of a user's best (nearest) server divided by the summed gains
 of every other station, r_best^-eta / sum_{j != best} r_j^-eta.
+
+Each layout's distances are turned into log r once; the gain for each eta
+is then exp(-eta * log r), within about 3e-14 relative of r**-eta at
+eta 40 and 5e-15 at eta 6, for a fraction of pow's cost. The interference
+is the row sum of all gains minus the serving gain. That difference rounds
+onto the grid of ulp(serving gain), a relative error of about
+eps * (1 + SINR). Ulp-level changes of the gains leave that rounding as it
+is; summing the interferers alone would not, and would move the recorded
+benchmark outputs (the hexagonal CDFs at high eta) past their limits.
 """
 from __future__ import annotations
 
@@ -77,9 +86,10 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
                users: UserSet) -> np.ndarray:
     """Linear SINR of shape (len(etas), users), with exclusion-radius clamping.
 
-    Distances and the clamp depend only on the layout, so they are computed
-    once for all path-loss exponents; the per-eta reduction runs on row
-    blocks in separate threads.
+    Distances, the clamp and log r depend only on the layout, so they are
+    computed once for all path-loss exponents; each eta then costs one
+    multiply, one exp and the row sums. The reduction runs on row blocks in
+    separate threads and overwrites the distance matrix with its logarithm.
     """
     if not all(eta > 2 for eta in etas):
         raise DomainError("path loss exponent must exceed 2")
@@ -95,8 +105,9 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
 
     def reduce_rows(rows):
         g, b, i = gains[rows], best[rows], index[:rows.stop - rows.start]
+        log_d = np.log(d[rows], out=d[rows])
         for eta, sinr_row in zip(etas, out):
-            np.power(d[rows], -eta, out=g)
+            np.exp(np.multiply(log_d, -eta, out=g), out=g)
             gbest = g[i, b]
             np.divide(gbest, g.sum(axis=1) - gbest, out=sinr_row[rows])
 

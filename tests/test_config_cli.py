@@ -46,6 +46,7 @@ class TestConfig:
         {"expected_stations": 6e307},
         {"eta_list": (3.00001, 3.00002)},   # one file label, 3
         {"eta_list": (3.0, 3.0)},
+        {"eta_list": ("fast", 3.0)},
     ])
     def test_validation_rejects(self, bad):
         # a config is checked whenever it is built, however it is built
@@ -60,9 +61,32 @@ class TestConfig:
         a = ExperimentConfig()
         b = ExperimentConfig()
         c = ExperimentConfig(seed=2)
-        assert a.digest() == b.digest()
+        assert a.digest() == b.digest() == "2fa0d50b5c71"
         assert a.digest() != c.digest()
         assert len(a.digest()) == 12
+
+    def test_eta_list_is_stored_as_a_tuple_of_floats(self):
+        # one experiment has one digest and one hash, however its eta values are given
+        as_list = ExperimentConfig(eta_list=[2.6, 3.0])
+        assert type(as_list.eta_list) is tuple and as_list.eta_list == (2.6, 3.0)
+        assert as_list == ExperimentConfig(eta_list=(2.6, 3.0))
+        assert hash(as_list) == hash(ExperimentConfig(eta_list=(2.6, 3.0)))
+        assert as_list.digest() == "f9325986a851"
+        ints = replace(ExperimentConfig(), eta_list=(3,))
+        assert [type(eta) for eta in ints.eta_list] == [float]
+        assert ints.digest() == ExperimentConfig(eta_list=(3.0,)).digest() == "a05aec62f1de"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["report", "--seed", "6"], "f9bfd1c0c1ac"),
+        (["fit", "--config", str(Path(__file__).resolve().parents[1] / "perfbench"
+                                 / "fit_large_torus.cfg"),
+          "--seed", "6", "--eta", "2.6,2.8,3,3.2,3.4,3.6,3.8"], "bef8e7726056"),
+        (["cdf", "--model", "fluid", "--eta", "3"], "a05aec62f1de"),
+    ])
+    def test_cli_digests_are_pinned(self, argv, digest):
+        # the digest names a run in every output file: storing eta as floats moved none
+        args = cli.build_parser().parse_args([*argv, "--out", "unused"])
+        assert cli.config_from_args(args).digest() == digest
 
     def test_parse_eta_list(self):
         assert parse_float_list("2.6,2.8, 3.0") == (2.6, 2.8, 3.0)

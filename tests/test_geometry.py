@@ -79,6 +79,24 @@ def test_distance_matrix_matches_scalar():
                 torus_distance(region, Point(*a[i]), Point(*b[j])), abs=1e-12)
 
 
+def root_sum_of_squares(dx, dy):
+    """The distance the matrix computes from two axis deltas, without hypot."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def test_distance_matrix_within_one_spacing_of_hypot():
+    # sqrt(dx*dx + dy*dy) rounds three times, hypot about once; each is within an ulp
+    region = TorusRegion(2.7, 1.3)
+    rng = np.random.default_rng(47)
+    a, b = random_tuples(rng, region, 400, 2)
+    w, h = region.width, region.height
+    exact = np.hypot(axis_delta(a[:, 0:1], b[None, :, 0], w),
+                     axis_delta(a[:, 1:2], b[None, :, 1], h))
+    err = np.abs(torus_distance_matrix(region, a, b) - exact)
+    assert np.all(err <= np.spacing(exact))
+    assert np.any(err > 0)  # the two forms do differ, so the test bites
+
+
 def test_distance_matrix_bit_identical_to_modulo_form():
     # the matrix path drops `% period` for wrapped points, including points on the edges
     region = TorusRegion(2.7, 1.3)
@@ -86,8 +104,8 @@ def test_distance_matrix_bit_identical_to_modulo_form():
     w, h = region.width, region.height
     edges = [[0.0, 0.0], [w, h], [0.0, h], [w, 0.0], [w / 2, 0.0], [0.0, h / 2]]
     pts = np.vstack([rng.random((300, 2)) * [w, h], edges])
-    expected = np.hypot(axis_delta(pts[:, 0:1], pts[None, :, 0], w),
-                        axis_delta(pts[:, 1:2], pts[None, :, 1], h))
+    expected = root_sum_of_squares(axis_delta(pts[:, 0:1], pts[None, :, 0], w),
+                                   axis_delta(pts[:, 1:2], pts[None, :, 1], h))
     assert np.array_equal(torus_distance_matrix(region, pts, pts), expected)
 
 
@@ -98,8 +116,8 @@ def test_distance_matrix_independent_of_worker_count(worker_count):
     w, h = region.width, region.height
     a = rng.random((1001, 2)) * [w, h]
     b = rng.random((37, 2)) * [w, h]
-    expected = np.hypot(axis_delta(a[:, 0:1], b[None, :, 0], w),
-                        axis_delta(a[:, 1:2], b[None, :, 1], h))
+    expected = root_sum_of_squares(axis_delta(a[:, 0:1], b[None, :, 0], w),
+                                   axis_delta(a[:, 1:2], b[None, :, 1], h))
     assert 1001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
     for workers in (1, 2, 3):
         worker_count(workers)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from fluidnet.errors import ConfigError, DomainError
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
 from fluidnet.sinr import UserSet, run_monte_carlo, sinr_field
-from oracles import Point, brute_force_sinr, image_distance, normalized_sinr
+from oracles import Point, brute_force_sinr, image_distance, normalized_sinr, torus_distance
 
 
 def make_layout(stations, width=10.0, height=10.0):
@@ -148,6 +149,56 @@ class TestSinrField:
             worker_count(workers)
             fields.append(sinr_field(layout, [2.4, 3.3, 4.1], users))
         assert all(np.array_equal(fields[0], f) for f in fields[1:])
+
+
+class TestKernelAccuracy:
+    ETAS = (2.05, 3.3, 6.0, 20.0)
+
+    def test_matches_exact_interference_sum(self):
+        # oracle: python-level d**-eta and an exactly rounded sum over the interferers.
+        # The kernel sums all n gains and subtracts the serving one, which costs
+        # up to about n * eps relative to the whole sum, i.e. n * eps * (1 + SINR)
+        # relative to the interference; the gains' exp(-eta * log d) is within
+        # 3e-14 of d**-eta, well inside the further 1e-13.
+        rng = np.random.default_rng(53)
+        layout = make_layout(rng.random((12, 2)) * 10.0)
+        ue = rng.random((40, 2)) * 10.0
+        field = sinr_field(layout, self.ETAS, UserSet(points=ue, exclusion_radius=0.0))
+        stations = [Point(*s) for s in layout.stations]
+        bound_eps = len(stations) * np.finfo(float).eps
+        for i, (x, y) in enumerate(ue):
+            dists = [torus_distance(layout.region, Point(x, y), s) for s in stations]
+            k = int(np.argmin(dists))
+            for row, eta in zip(field, self.ETAS):
+                gains = [d ** -eta for d in dists]
+                want = gains[k] / math.fsum(gains[:k] + gains[k + 1:])
+                assert abs(row[i] - want) <= want * (bound_eps * (1 + want) + 1e-13)
+
+    def test_user_on_a_station_gives_non_finite_sinr_silently(self):
+        # with no clamp the serving distance is 0: log 0 = -inf, an infinite gain
+        layout = make_layout([[5, 5], [1, 1], [9, 9]])
+        users = UserSet(points=np.array([[5.0, 5.0], [3.0, 3.0]]), exclusion_radius=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = sinr_field(layout, self.ETAS, users)
+        assert not np.isfinite(field[:, 0]).any()
+        assert np.isfinite(field[:, 1]).all()
+
+    def test_user_on_a_station_fails_the_monte_carlo(self, monkeypatch):
+        cfg = ExperimentConfig(runs=2, users=2, eta_list=self.ETAS)
+
+        def layout_under_the_user(region, seed):
+            return make_layout([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0]], region.width, region.height)
+
+        def user_on_a_station(region, n, seed, exclusion_radius):
+            return UserSet(points=np.array([[3.0, 3.0], [1.0, 1.0]]), exclusion_radius=0.0)
+
+        monkeypatch.setattr(SINR_MODULE, "generate_poisson", layout_under_the_user)
+        monkeypatch.setattr(SINR_MODULE, "draw_user_set", user_on_a_station)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite SINR at eta=2.05 in layout 1"):
+                run_monte_carlo(cfg)
 
 
 def clamp_counting_measures(monkeypatch, layout, ue, radius):
