@@ -48,21 +48,23 @@ def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray) -> 
     within 1 ulp of hypot(dx, dy) at a fraction of its cost, as long as the
     squares neither overflow nor underflow (deltas between about 1e-150
     and 1e150).
-    Row blocks of the result are computed on separate threads.
+    The result is filled in L2-sized row tiles of one block per thread
+    (parallel.map_row_blocks); each tile's axis deltas use two tile-sized
+    buffers, so the result is the only full-size matrix.
     """
-    shape = (len(a), len(b))
-    dx, dy, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+    d = np.empty((len(a), len(b)))
 
     def fill(rows):
-        x, y = dx[rows], dy[rows]
-        _wrapped_axis_delta(a[rows, 0:1], b[None, :, 0], region.width, x, scratch[rows])
-        _wrapped_axis_delta(a[rows, 1:2], b[None, :, 1], region.height, y, scratch[rows])
+        x = d[rows]
+        y, scratch = np.empty_like(x), np.empty_like(x)
+        _wrapped_axis_delta(a[rows, 0:1], b[None, :, 0], region.width, x, scratch)
+        _wrapped_axis_delta(a[rows, 1:2], b[None, :, 1], region.height, y, scratch)
         np.multiply(x, x, out=x)
         x += np.multiply(y, y, out=y)
         np.sqrt(x, out=x)
 
-    map_row_blocks(fill, len(a))
-    return dx
+    map_row_blocks(fill, len(a), len(b))
+    return d
 
 
 def wrapped_displacement(region: TorusRegion, origin: np.ndarray, target: np.ndarray) -> np.ndarray:

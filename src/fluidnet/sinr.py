@@ -88,8 +88,11 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
 
     Distances, the clamp and log r depend only on the layout, so they are
     computed once for all path-loss exponents; each eta then costs one
-    multiply, one exp and the row sums. The reduction runs on row blocks in
-    separate threads and overwrites the distance matrix with its logarithm.
+    multiply, one exp and the row sums. The reduction runs in L2-sized row
+    tiles of one block per thread (parallel.map_row_blocks): each tile's
+    distances give its rows' best servers and are overwritten by their
+    logarithm, then every eta's gains go through one tile-sized buffer, so
+    there is no full-size gains matrix.
     """
     if not all(eta > 2 for eta in etas):
         raise DomainError("path loss exponent must exceed 2")
@@ -98,14 +101,13 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
     ue = users.points.astype(float).copy()
     d = torus_distance_matrix(layout.region, ue, layout.stations)
     d = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
-    best = np.argmin(d, axis=1)
     index = np.arange(len(ue))
-    gains = np.empty_like(d)
     out = np.empty((len(etas), len(ue)))
 
     def reduce_rows(rows):
-        g, b, i = gains[rows], best[rows], index[:rows.stop - rows.start]
+        b, i = np.argmin(d[rows], axis=1), index[:rows.stop - rows.start]
         log_d = np.log(d[rows], out=d[rows])
+        g = np.empty_like(log_d)
         for eta, sinr_row in zip(etas, out):
             np.exp(np.multiply(log_d, -eta, out=g), out=g)
             gbest = g[i, b]
@@ -114,7 +116,7 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
     # a zero interference or an overflow gives a non-finite SINR, for which
     # run_monte_carlo raises DomainError; numpy's warning would only precede it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        map_row_blocks(reduce_rows, len(ue))
+        map_row_blocks(reduce_rows, len(ue), layout.n_stations)
     return out
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fluidnet import fluid
 from fluidnet.config import ExperimentConfig
 from fluidnet.errors import DomainError
 from fluidnet.fluid import (MEAN_CELL_RADIUS, FluidCdf, FluidModel, average_cell_throughput,
@@ -161,6 +162,29 @@ class TestFluidCdf:
         r = np.linspace(0.01, 1.99, 50)
         np.testing.assert_allclose(fluid_sinr(m, r), [fluid_sinr(m, ri) for ri in r], rtol=1e-14)
         assert isinstance(plain.evaluate(3.0), float) and isinstance(fluid_sinr(m, 0.5), float)
+
+    def test_scalar_calls_do_not_grow_with_points(self, monkeypatch):
+        # evaluate measures the profile at the two bracket ends, whatever the
+        # number of points, and Newton's method runs on arrays; quantile
+        # measures it once at its radii
+        calls = []
+
+        def counted(m, r):
+            calls.append(r)
+            return fluid_sinr(m, r)
+
+        monkeypatch.setattr(fluid, "fluid_sinr", counted)
+        cdf = FluidCdf(model(3.3), 0.01, shift_db=1.5)
+        per_call = {}
+        for n in (10, 10_000):
+            calls.clear()
+            cdf.evaluate(np.linspace(-30.0, 60.0, n))
+            per_call["evaluate", n] = len(calls)
+            calls.clear()
+            cdf.quantile(np.linspace(0.01, 0.99, n))
+            per_call["quantile", n] = len(calls)
+        assert per_call == {("evaluate", 10): 2, ("evaluate", 10_000): 2,
+                            ("quantile", 10): 1, ("quantile", 10_000): 1}
 
     def test_quantile_evaluate_consistency(self):
         cdf = FluidCdf(model(3.4), 0.01)

@@ -124,6 +124,21 @@ def test_distance_matrix_independent_of_worker_count(worker_count):
         assert np.array_equal(torus_distance_matrix(region, a, b), expected)
 
 
+def test_distance_matrix_independent_of_tile_size(worker_count, monkeypatch):
+    # ragged tiles of 5 rows inside blocks of 1001, 500/501 and 333/334/334 rows
+    region = TorusRegion(2.7, 1.3)
+    rng = np.random.default_rng(47)
+    a = rng.random((1001, 2)) * [region.width, region.height]
+    b = rng.random((37, 2)) * [region.width, region.height]
+    worker_count(1)
+    monkeypatch.setattr(parallel, "TILE_ELEMENTS", a.size * b.size)
+    untiled = torus_distance_matrix(region, a, b)
+    monkeypatch.setattr(parallel, "TILE_ELEMENTS", 5 * len(b) + 3)
+    for workers in (1, 2, 3):
+        worker_count(workers)
+        assert np.array_equal(torus_distance_matrix(region, a, b), untiled)
+
+
 def test_wrapped_displacement_nearest_image():
     disp = wrapped_displacement(UNIT, np.array([0.05, 0.5]), np.array([0.95, 0.5]))
     assert disp[0] == pytest.approx(-0.1)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from fluidnet import parallel
 from fluidnet.parallel import MIN_ROWS, map_row_blocks
 
 
@@ -37,6 +38,46 @@ def test_blocks_cover_rows_once(worker_count):
 def test_small_inputs_and_one_cpu_run_inline(worker_count, workers, n):
     worker_count(workers)
     assert run_blocks(n) == [(0, n, threading.get_ident())]
+
+
+def test_blocks_are_cut_into_row_tiles(worker_count, monkeypatch):
+    # tiles of at most 100 // 7 = 14 rows; blocks of 256, 257 and 257 rows each end on a ragged one
+    worker_count(3)
+    monkeypatch.setattr(parallel, "TILE_ELEMENTS", 100)
+    n, n_cols, max_rows = 3 * MIN_ROWS + 2, 7, 100 // 7
+    calls = []
+    lock = threading.Lock()
+
+    def fn(rows):
+        with lock:
+            calls.append((rows.start, rows.stop, threading.get_ident()))
+
+    map_row_blocks(fn, n, n_cols)
+    tiles = sorted(calls)
+    assert tiles[0][0] == 0 and tiles[-1][1] == n
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(tiles, tiles[1:]))
+    assert all(0 < hi - lo <= max_rows for lo, hi, _ in tiles)
+    assert any(hi - lo < max_rows for lo, hi, _ in tiles)
+    by_thread = {}
+    for lo, hi, thread in calls:
+        by_thread.setdefault(thread, []).append((lo, hi))
+    for thread_tiles in by_thread.values():  # in call order, each thread's rows run in order
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(thread_tiles, thread_tiles[1:]))
+    caller = by_thread[threading.get_ident()]  # the caller runs exactly the first block
+    assert caller[0][0] == 0 and caller[-1][1] == n // 3
+
+
+@pytest.mark.parametrize("n, n_cols, expected", [
+    (0, 7, [(0, 0)]),                                    # an empty range is still one call
+    (5, 0, [(0, 5)]),                                    # rows of no elements: one whole block
+    (3, parallel.TILE_ELEMENTS + 1, [(0, 1), (1, 2), (2, 3)]),  # a row wider than a tile
+    (5, parallel.TILE_ELEMENTS // 2, [(0, 2), (2, 4), (4, 5)]),
+])
+def test_tile_rows_at_the_edges(worker_count, n, n_cols, expected):
+    worker_count(1)
+    seen = []
+    map_row_blocks(lambda rows: seen.append((rows.start, rows.stop)), n, n_cols)
+    assert seen == expected
 
 
 def test_worker_exception_propagates(worker_count):

@@ -150,6 +150,21 @@ class TestSinrField:
             fields.append(sinr_field(layout, [2.4, 3.3, 4.1], users))
         assert all(np.array_equal(fields[0], f) for f in fields[1:])
 
+    def test_independent_of_tile_size(self, worker_count, monkeypatch):
+        # ragged tiles of 3 rows; the clamp's re-measures of moved users are tiled too
+        rng = np.random.default_rng(41)
+        layout = make_layout(rng.random((50, 2)) * 10.0)
+        users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
+        d = torus_distance_matrix(layout.region, users.points, layout.stations)
+        assert (d.min(axis=1) < users.exclusion_radius).sum() > 3  # the clamp moves users
+        worker_count(1)
+        monkeypatch.setattr(parallel, "TILE_ELEMENTS", d.size)
+        untiled = sinr_field(layout, [2.4, 3.3, 4.1], users)
+        monkeypatch.setattr(parallel, "TILE_ELEMENTS", 3 * layout.n_stations + 7)
+        for workers in (1, 2, 3):
+            worker_count(workers)
+            assert np.array_equal(sinr_field(layout, [2.4, 3.3, 4.1], users), untiled)
+
 
 class TestKernelAccuracy:
     ETAS = (2.05, 3.3, 6.0, 20.0)

@@ -58,7 +58,13 @@ def test_traced_report_records_every_layer(tmp_path):
     spans = traced["spans"]
     assert REPORT_SPANS <= {span[0] for span in spans}
     counts = traced["counters"]
-    assert counts["fluid.scalar_calls"] > 0
+    # fluid_sinr calls: FluidCdf.evaluate makes 2 (its bracket ends), quantile,
+    # fluid_curve and each throughput 1. Per eta the report takes 5 quantiles
+    # (the shift fit, the fitted and fluid tables, the correlation's grid ends),
+    # 3 evaluates (the correlation and the fluid and fitted outage rows), two
+    # throughputs and one fluid curve
+    per_eta = 5 * 1 + 3 * 2 + 2 * 1 + 1
+    assert counts["fluid.scalar_calls"] == per_eta * len(config.eta_list)
 
     assert counts["placement.layouts"] == layouts
     assert counts["sinr.samples"] == samples
