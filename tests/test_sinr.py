@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -7,12 +8,19 @@ import pytest
 
 from fluidnet import parallel
 from fluidnet import sinr as SINR_MODULE
-from fluidnet.config import ExperimentConfig
+from fluidnet.config import DEFAULT_ETAS, ExperimentConfig
 from fluidnet.errors import ConfigError, DomainError
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
 from fluidnet.placement import ModelKind, NetworkLayout, generate_hexagonal
 from fluidnet.sinr import UserSet, run_monte_carlo, sinr_field
 from oracles import Point, brute_force_sinr, image_distance, normalized_sinr, torus_distance
+
+# the 80-value sweep grid 2.05, 2.10, ..., 6.00
+SWEEP_ETAS = tuple(round(2.05 + 0.05 * i, 2) for i in range(80))
+# eta lists that sinr_field chains (evenly stepped, 3 or more values) and lists it does not
+PROGRESSIONS = [DEFAULT_ETAS, SWEEP_ETAS, DEFAULT_ETAS[::-1], (3.0, 3.5, 4.0)]
+NOT_CHAINED = [(2.4, 3.3, 4.1), (2.6, 3.0, 3.4, 5.0), (3.0, 3.5, 4.000000001), (2.5, 3.5),
+               (3.0,)]
 
 
 def make_layout(stations, width=10.0, height=10.0):
@@ -132,11 +140,11 @@ class TestSinrField:
         rng = np.random.default_rng(31)
         layout = make_layout(rng.random((12, 2)) * 10.0)
         users = UserSet(points=rng.random((40, 2)) * 10.0, exclusion_radius=0.3)
-        etas = [2.4, 3.3, 4.1]
-        field = sinr_field(layout, etas, users)
-        assert field.shape == (3, 40)
-        for row, eta in zip(field, etas):
-            assert np.array_equal(row, sinr_field(layout, [eta], users)[0])
+        for etas in NOT_CHAINED:
+            field = sinr_field(layout, etas, users)
+            assert field.shape == (len(etas), 40)
+            for row, eta in zip(field, etas):
+                assert np.array_equal(row, sinr_field(layout, [eta], users)[0])
 
     def test_independent_of_worker_count(self, worker_count):
         # row blocks decide only which thread computes a row, never its arithmetic
@@ -144,11 +152,12 @@ class TestSinrField:
         layout = make_layout(rng.random((50, 2)) * 10.0)
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
         assert 2001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
-        fields = []
-        for workers in (1, 2, 3):
-            worker_count(workers)
-            fields.append(sinr_field(layout, [2.4, 3.3, 4.1], users))
-        assert all(np.array_equal(fields[0], f) for f in fields[1:])
+        for etas in ((2.4, 3.3, 4.1), DEFAULT_ETAS):
+            fields = []
+            for workers in (1, 2, 3):
+                worker_count(workers)
+                fields.append(sinr_field(layout, etas, users))
+            assert all(np.array_equal(fields[0], f) for f in fields[1:])
 
     def test_independent_of_tile_size(self, worker_count, monkeypatch):
         # ragged tiles of 3 rows; the clamp's re-measures of moved users are tiled too
@@ -157,13 +166,71 @@ class TestSinrField:
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
         d = torus_distance_matrix(layout.region, users.points, layout.stations)
         assert (d.min(axis=1) < users.exclusion_radius).sum() > 3  # the clamp moves users
-        worker_count(1)
-        monkeypatch.setattr(parallel, "TILE_ELEMENTS", d.size)
-        untiled = sinr_field(layout, [2.4, 3.3, 4.1], users)
-        monkeypatch.setattr(parallel, "TILE_ELEMENTS", 3 * layout.n_stations + 7)
-        for workers in (1, 2, 3):
-            worker_count(workers)
-            assert np.array_equal(sinr_field(layout, [2.4, 3.3, 4.1], users), untiled)
+        for etas in ((2.4, 3.3, 4.1), DEFAULT_ETAS):
+            worker_count(1)
+            monkeypatch.setattr(parallel, "TILE_ELEMENTS", d.size)
+            untiled = sinr_field(layout, etas, users)
+            monkeypatch.setattr(parallel, "TILE_ELEMENTS", 3 * layout.n_stations + 7)
+            for workers in (1, 2, 3):
+                worker_count(workers)
+                assert np.array_equal(sinr_field(layout, etas, users), untiled)
+
+
+class CountingNumpy:
+    """numpy, counting the elements passed to exp, from any thread."""
+
+    def __init__(self):
+        self.exp_elements, self._lock = 0, threading.Lock()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        with self._lock:
+            self.exp_elements += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+
+class TestChainedGains:
+    @pytest.mark.parametrize("etas", PROGRESSIONS)
+    def test_rows_match_single_eta_rows(self, etas):
+        # Bound, fixed from the arithmetic: a direct gain exp(-eta_k * log r) is within
+        # (eta_k |log r| + 2) eps/2 relative of exact (eps/2 for the product, an ulp for
+        # exp); the chained one, exp(-eta_0 * log r) times k factors exp(-step * log r),
+        # within ((eta_0 + k |step|) |log r| + 3k + 2) eps/2 (one more product and ulp
+        # per factor, eps/2 per multiply) plus |eta_0 + k step - eta_k| |log r|. So the
+        # two gains differ by at most delta_k relative, below; the SINR, a ratio of
+        # positive sums, by 2 delta_k; and each side's fl(sum) - gbest rounds by up to
+        # n eps (1 + SINR) relative (TestKernelAccuracy).
+        rng = np.random.default_rng(43)
+        layout = make_layout(rng.random((12, 2)) * 10.0)
+        users = UserSet(points=rng.random((40, 2)) * 10.0, exclusion_radius=0.3)
+        # clamped distances lie in [radius - ulp, 5 sqrt 2] on the 10 x 10 torus
+        max_log_r = max(-math.log(0.3 * (1 - 1e-12)), math.log(5 * math.sqrt(2)))
+        eps, n = np.finfo(float).eps, layout.n_stations
+        step = (etas[-1] - etas[0]) / (len(etas) - 1)
+        field = sinr_field(layout, etas, users)
+        for k, (row, eta) in enumerate(zip(field, etas)):
+            single = sinr_field(layout, [eta], users)[0]
+            drift = abs(etas[0] + k * step - eta) + eps * eta
+            delta = (((etas[0] + k * abs(step) + eta) * max_log_r + 3 * k + 4) * eps / 2
+                     + drift * max_log_r)
+            bound = single * (2 * delta + 2 * n * eps * (1 + single))
+            assert np.all(np.abs(row - single) <= bound)
+
+    @pytest.mark.parametrize("etas", PROGRESSIONS + NOT_CHAINED)
+    def test_exp_work_count(self, monkeypatch, worker_count, etas):
+        # an evenly stepped list of 3 or more values pays exp for its first eta and for
+        # the step's factor; any other list pays it once per eta
+        rng = np.random.default_rng(47)
+        layout = make_layout(rng.random((50, 2)) * 10.0)
+        users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
+        worker_count(2)
+        counting = CountingNumpy()
+        monkeypatch.setattr(SINR_MODULE, "np", counting)
+        sinr_field(layout, etas, users)
+        passes = 2 if etas in PROGRESSIONS else len(etas)
+        assert counting.exp_elements == passes * 2001 * layout.n_stations
 
 
 class TestKernelAccuracy:
@@ -190,18 +257,18 @@ class TestKernelAccuracy:
                 assert abs(row[i] - want) <= want * (bound_eps * (1 + want) + 1e-13)
 
     def test_user_on_a_station_gives_non_finite_sinr_silently(self):
-        # with no clamp the serving distance is 0: log 0 = -inf, an infinite gain
+        # with no clamp the serving distance is 0: log 0 = -inf, an infinite gain; a
+        # chained gain multiplies it by an infinite (or, stepping down, zero) factor
         layout = make_layout([[5, 5], [1, 1], [9, 9]])
         users = UserSet(points=np.array([[5.0, 5.0], [3.0, 3.0]]), exclusion_radius=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            field = sinr_field(layout, self.ETAS, users)
-        assert not np.isfinite(field[:, 0]).any()
-        assert np.isfinite(field[:, 1]).all()
+        for etas in (self.ETAS, DEFAULT_ETAS, DEFAULT_ETAS[::-1]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                field = sinr_field(layout, etas, users)
+            assert not np.isfinite(field[:, 0]).any()
+            assert np.isfinite(field[:, 1]).all()
 
     def test_user_on_a_station_fails_the_monte_carlo(self, monkeypatch):
-        cfg = ExperimentConfig(runs=2, users=2, eta_list=self.ETAS)
-
         def layout_under_the_user(region, seed):
             return make_layout([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0]], region.width, region.height)
 
@@ -210,10 +277,13 @@ class TestKernelAccuracy:
 
         monkeypatch.setattr(SINR_MODULE, "generate_poisson", layout_under_the_user)
         monkeypatch.setattr(SINR_MODULE, "draw_user_set", user_on_a_station)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="non-finite SINR at eta=2.05 in layout 1"):
-                run_monte_carlo(cfg)
+        for etas in (self.ETAS, DEFAULT_ETAS):
+            cfg = ExperimentConfig(runs=2, users=2, eta_list=etas)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError,
+                                   match=f"non-finite SINR at eta={etas[0]:g} in layout 1"):
+                    run_monte_carlo(cfg)
 
 
 def clamp_counting_measures(monkeypatch, layout, ue, radius):
