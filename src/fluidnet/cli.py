@@ -97,15 +97,19 @@ def _out_dir(args) -> Path:
 
 def _write(out: Path, tables, report_text: str | None = None):
     """Create the checked --out directory and write the checked tables and report.txt.
-    main calls it only once a command has returned, so a run that fails writes nothing."""
+    main calls it only once a command has returned, so a run that fails writes nothing.
+    A file that cannot be written is a ConfigError naming it."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    write_tables(tables)
-    if report_text is not None:
-        with open(out / "report.txt", "w", newline="\n") as fh:
-            fh.write(report_text)
+    try:
+        write_tables(tables)
+        if report_text is not None:
+            with open(out / "report.txt", "w", newline="\n") as fh:
+                fh.write(report_text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
 
 
 def cmd_generate(args, config, out):

@@ -2,8 +2,11 @@
 
 numpy releases the interpreter lock inside ufunc loops, so contiguous row
 blocks of one matrix run on separate cores, each block in row tiles small
-enough to stay in L2. Each row's arithmetic is the same whatever the split,
-so results depend neither on the core count nor on the tile size.
+enough to stay in L2. A matrix is split only when every block gets at
+least MIN_BLOCK_PAIRS row-column (user-station) pairs, so small layouts run
+inline on the calling thread and never start the pool. Each row's
+arithmetic is the same whatever the split, so results depend neither on the
+core count nor on the tile size.
 """
 from __future__ import annotations
 
@@ -11,14 +14,19 @@ import os
 import threading
 from contextvars import copy_context
 
-# Fewest rows per block. Timing sinr_field (in the tiles below) on a 2 vCPU
-# Xeon, one block against two, median of 15 best-of-40 runs: with 50
-# stations and 11 eta, two blocks of 128, 256, 500 and 1000 rows took 43%,
-# 26%, 11% and 9% longer than one; with 200 stations and 7 eta, 16%, 14%, 6%
-# and 1% longer. Two threads running np.exp there get 1.05x the throughput
-# of one, so no block pays on that machine; the split is for machines whose
-# second core adds throughput, and 256 keeps small layouts whole.
-MIN_ROWS = 256
+# Fewest row-column pairs per block: an n_rows x n_cols matrix makes at most
+# n_rows * n_cols // MIN_BLOCK_PAIRS blocks. Chosen by timing whole runs on a
+# 2 vCPU Xeon (perfbench, 35 s runs, alternating pairs). fit_large_torus
+# (2000 users x about 200 stations, 7 eta) keeps two blocks a layout: with
+# no split it lost 4/4 pairs by 1-19% and with 200000, which leaves about
+# half of its layouts whole, 4/4 by 9-27%. report_default (2000 users x 50
+# stations on average, at most about 75, 11 eta) runs inline, which takes
+# about 2 MB off its peak RSS (the pool's threads) and did not slow it.
+# In-process, sinr_field on 2000 users, median of 9 best-of-40 runs, two
+# blocks took 1.07x/1.08x the time of one at 56/75 stations with 11 eta and
+# 1.04x/0.94x/1.06x at 150/170/200 stations with 7 eta: the second thread
+# pays only in whole runs.
+MIN_BLOCK_PAIRS = 150_000
 # Most elements of one row tile: 32768 float64 are 256 kB, so the three tile
 # buffers of torus_distance_matrix and the two of sinr_field stay in a 2 MB
 # L2. Timing one thread on the Xeon above (2 MB L2 a core), 2000 users,
@@ -54,14 +62,16 @@ def _get_pool():
         return _pool
 
 
-def map_row_blocks(fn, n_rows: int, n_cols: int = 0) -> None:
+def map_row_blocks(fn, n_rows: int, n_cols: int) -> None:
     """Call fn(rows) on contiguous row tiles that cover range(n_rows).
 
-    The rows are split into one block per thread, of at least MIN_ROWS
-    rows each. For rows of n_cols elements each block is cut into tiles of
-    at most TILE_ELEMENTS // n_cols rows (at least one), which fn gets in
-    order, so that every pass fn makes over a tile stays in L2; n_cols = 0
-    leaves each block whole. An empty range is one call on slice(0, 0).
+    The rows of n_cols elements each are split into one block per thread,
+    of at least MIN_BLOCK_PAIRS elements each; with fewer than twice that
+    they run inline and the pool is never started. Each block is cut into
+    tiles of at most TILE_ELEMENTS // n_cols rows (at least one), which fn
+    gets in order, so that every pass fn makes over a tile stays in L2;
+    n_cols = 0 leaves the rows one inline block. An empty range is one call
+    on slice(0, 0).
     The calling thread runs the first block; the others run on a shared
     thread pool. Returns only once every block is done, then re-raises an
     exception any block raised, the calling thread's own first.
@@ -72,7 +82,7 @@ def map_row_blocks(fn, n_rows: int, n_cols: int = 0) -> None:
         for start in range(lo, hi, step) or (lo,):
             fn(slice(start, min(start + step, hi)))
 
-    k = min(WORKERS, n_rows // MIN_ROWS)
+    k = min(WORKERS, n_rows * n_cols // MIN_BLOCK_PAIRS)
     if k <= 1:
         run_tiles(0, n_rows)
         return

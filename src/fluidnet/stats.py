@@ -4,6 +4,10 @@ The comparison between the simulated Poisson network and the analytic
 fluid curve happens here: the mean horizontal (dB) offset between the
 two CDFs is measured on a quantile grid for each path-loss exponent,
 and a degree-1 polynomial in eta is fitted to those offsets.
+
+empirical_cdf builds each Monte Carlo CDF inside the sample array it is
+given (dB conversion and sort in place), so a CDF costs no sample-sized
+copy; EmpiricalCdf(values) sorts a copy and leaves values as they were.
 """
 from __future__ import annotations
 
@@ -52,7 +56,17 @@ class EmpiricalCdf:
     """Step CDF of a sample of dB values, with interpolated quantiles."""
 
     def __init__(self, values_db):
-        values = np.sort(np.asarray(values_db, dtype=float).ravel())
+        """The CDF of values_db, sorted into a copy; values_db is left as it was."""
+        self._keep_sorted(np.sort(np.asarray(values_db, dtype=float).ravel()))
+
+    @classmethod
+    def _of_sorted(cls, values):
+        """The CDF of a sorted 1-D float64 array, which it keeps without a copy."""
+        cdf = cls.__new__(cls)
+        cdf._keep_sorted(values)
+        return cdf
+
+    def _keep_sorted(self, values):
         if values.size == 0:
             raise DomainError("cannot build a CDF from an empty sample")
         # NaN and +inf sort to the end, -inf to the start
@@ -88,8 +102,17 @@ class EmpiricalCdf:
 
 
 def empirical_cdf(samples) -> EmpiricalCdf:
-    """CDF of an array of linear SINR samples, on the dB scale."""
-    return EmpiricalCdf(10.0 * np.log10(np.asarray(samples, dtype=float)))
+    """CDF of an array of linear SINR samples, on the dB scale.
+
+    The CDF is built inside samples when it is a writable, contiguous
+    float64 array: its values are converted to dB and sorted in place, so
+    the caller must not use it afterwards. Any other input is copied first.
+    """
+    x = np.require(samples, dtype=float, requirements="W").ravel()
+    np.log10(x, out=x)
+    x *= 10.0
+    x.sort()
+    return EmpiricalCdf._of_sorted(x)
 
 
 def mean_horizontal_shift(reference, target) -> float:

@@ -363,6 +363,15 @@ class TestCli:
                      "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, blocked", [("fit", "fit.csv"), ("report", "report.txt")])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, command, blocked):
+        # a directory where an output file goes: one error line naming the file, no traceback
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, "--runs", "1", "--users", "10", "--eta", "3,4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out / blocked}: Is a directory\n"
+
     def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
         out = tmp_path / "out"
         assert main(["report", "--eta", "2.3,3.0,5.5", "--runs", "1", "--users", "50",

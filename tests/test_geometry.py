@@ -109,7 +109,7 @@ def test_distance_matrix_bit_identical_to_modulo_form():
     assert np.array_equal(torus_distance_matrix(region, pts, pts), expected)
 
 
-def test_distance_matrix_independent_of_worker_count(worker_count):
+def test_distance_matrix_independent_of_worker_count(worker_count, monkeypatch):
     # an odd row count gives blocks of unequal size; every one matches the `%` form
     region = TorusRegion(2.7, 1.3)
     rng = np.random.default_rng(43)
@@ -118,7 +118,8 @@ def test_distance_matrix_independent_of_worker_count(worker_count):
     b = rng.random((37, 2)) * [w, h]
     expected = root_sum_of_squares(axis_delta(a[:, 0:1], b[None, :, 0], w),
                                    axis_delta(a[:, 1:2], b[None, :, 1], h))
-    assert 1001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
+    monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * len(b))  # blocks of 256 rows or more
+    assert len(a) * len(b) // parallel.MIN_BLOCK_PAIRS >= 3  # three workers make three blocks
     for workers in (1, 2, 3):
         worker_count(workers)
         assert np.array_equal(torus_distance_matrix(region, a, b), expected)
@@ -131,6 +132,7 @@ def test_distance_matrix_independent_of_tile_size(worker_count, monkeypatch):
     a = rng.random((1001, 2)) * [region.width, region.height]
     b = rng.random((37, 2)) * [region.width, region.height]
     worker_count(1)
+    monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * len(b))  # blocks of 256 rows or more
     monkeypatch.setattr(parallel, "TILE_ELEMENTS", a.size * b.size)
     untiled = torus_distance_matrix(region, a, b)
     monkeypatch.setattr(parallel, "TILE_ELEMENTS", 5 * len(b) + 3)

@@ -146,12 +146,13 @@ class TestSinrField:
             for row, eta in zip(field, etas):
                 assert np.array_equal(row, sinr_field(layout, [eta], users)[0])
 
-    def test_independent_of_worker_count(self, worker_count):
+    def test_independent_of_worker_count(self, worker_count, monkeypatch):
         # row blocks decide only which thread computes a row, never its arithmetic
         rng = np.random.default_rng(37)
         layout = make_layout(rng.random((50, 2)) * 10.0)
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
-        assert 2001 // parallel.MIN_ROWS >= 3  # three workers make three blocks
+        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * 50)  # blocks of 256 rows or more
+        assert 2001 * 50 // parallel.MIN_BLOCK_PAIRS >= 3  # three workers make three blocks
         for etas in ((2.4, 3.3, 4.1), DEFAULT_ETAS):
             fields = []
             for workers in (1, 2, 3):
@@ -166,6 +167,7 @@ class TestSinrField:
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
         d = torus_distance_matrix(layout.region, users.points, layout.stations)
         assert (d.min(axis=1) < users.exclusion_radius).sum() > 3  # the clamp moves users
+        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * 50)  # blocks of 256 rows or more
         for etas in ((2.4, 3.3, 4.1), DEFAULT_ETAS):
             worker_count(1)
             monkeypatch.setattr(parallel, "TILE_ELEMENTS", d.size)
@@ -226,6 +228,7 @@ class TestChainedGains:
         layout = make_layout(rng.random((50, 2)) * 10.0)
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
         worker_count(2)
+        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * 50)  # two blocks count exps
         counting = CountingNumpy()
         monkeypatch.setattr(SINR_MODULE, "np", counting)
         sinr_field(layout, etas, users)
@@ -393,6 +396,51 @@ class TestMonteCarlo:
         assert list(sweep) == list(cfg.eta_list)
         assert counts["layouts"] == 4 and counts["distances"] == 4
         assert counts["clamp_distances"] > 0
+
+    def test_geometry_pairs_scale_with_runs_not_with_eta(self, monkeypatch):
+        # the benchmark's geometry.pairs: the user-station pairs of every
+        # torus_distance_matrix call, one pass per layout plus the clamp's re-measures
+        distances, clamp = SINR_MODULE.torus_distance_matrix, SINR_MODULE._clamp_to_exclusion
+        measured = {"layouts": [], "clamp": 0}
+        in_clamp = [False]
+
+        def counted_distances(region, a, b):
+            if in_clamp[0]:
+                measured["clamp"] += len(a) * len(b)
+            else:
+                measured["layouts"].append((len(a), len(b)))
+            return distances(region, a, b)
+
+        def flagged_clamp(*args):
+            in_clamp[0] = True
+            try:
+                return clamp(*args)
+            finally:
+                in_clamp[0] = False
+
+        monkeypatch.setattr(SINR_MODULE, "torus_distance_matrix", counted_distances)
+        monkeypatch.setattr(SINR_MODULE, "_clamp_to_exclusion", flagged_clamp)
+
+        def pairs(cfg):
+            measured["layouts"], measured["clamp"] = [], 0
+            run_monte_carlo(cfg)
+            return measured["layouts"], measured["clamp"]
+
+        # a wide exclusion radius makes the clamp re-measure rows
+        base = ExperimentConfig(runs=10, users=200, eta_list=(2.6, 3.0), exclusion=0.2, seed=7)
+        layouts, remeasured = pairs(base)
+        assert remeasured > 0
+        # twice the eta values: the same layouts, clamp and pairs, to the pair
+        assert pairs(replace(base, eta_list=(2.6, 3.0, 3.4, 3.8))) == (layouts, remeasured)
+        # twice the runs: the first ten layouts again and ten more, each of users x
+        # stations pairs, so the pairs double but for the clamp's re-measures and the
+        # station counts of the new layouts
+        doubled, doubled_remeasured = pairs(replace(base, runs=20))
+        assert doubled[:10] == layouts and len(doubled) == 20
+        assert all(users == 200 for users, _ in doubled)
+        total = sum(u * s for u, s in layouts) + remeasured
+        doubled_total = sum(u * s for u, s in doubled) + doubled_remeasured
+        assert doubled_total == pytest.approx(2 * total, rel=0.1)
 
     @pytest.mark.parametrize("kind", [ModelKind.POISSON, ModelKind.HEXAGONAL])
     def test_sweep_matches_one_eta_runs(self, kind):

@@ -42,6 +42,29 @@ class TestEmpiricalCdf:
         cdf = empirical_cdf(np.array([1.0, 10.0, 100.0]))
         assert cdf.sorted_values_db == pytest.approx([0.0, 10.0, 20.0])
 
+    def test_built_in_place_as_sort_of_db_copy(self):
+        # dB conversion and sort in the caller's array give the bits of the copying form,
+        # tied samples included
+        rng = np.random.default_rng(9)
+        x = rng.exponential(size=5000)
+        x[rng.integers(0, x.size, 500)] = x[:50].repeat(10)
+        expected = np.sort(10.0 * np.log10(x))
+        samples = x.copy()
+        cdf = empirical_cdf(samples)
+        assert np.array_equal(cdf.sorted_values_db, expected)
+        assert np.shares_memory(cdf.sorted_values_db, samples)
+        read_only = x.copy()
+        read_only.flags.writeable = False
+        assert np.array_equal(empirical_cdf(read_only).sorted_values_db, expected)
+        assert np.array_equal(read_only, x)
+
+    def test_constructor_leaves_values_as_they_were(self):
+        values = np.random.default_rng(10).normal(size=1000)
+        kept = values.copy()
+        cdf = EmpiricalCdf(values)
+        assert np.array_equal(values, kept)
+        assert np.array_equal(cdf.sorted_values_db, np.sort(kept))
+
 
 class TestQuantile:
     def test_midpoint_interpolation(self):
