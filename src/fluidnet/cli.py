@@ -8,6 +8,8 @@ directory). Data goes to files, progress to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -96,20 +98,38 @@ def _out_dir(args) -> Path:
 
 
 def _write(out: Path, tables, report_text: str | None = None):
-    """Create the checked --out directory and write the checked tables and report.txt.
-    main calls it only once a command has returned, so a run that fails writes nothing.
-    A file that cannot be written is a ConfigError naming it."""
+    """Write the checked tables and report.txt into --out, all or nothing: first into a
+    fresh hidden directory on --out's filesystem, which one rename makes a new --out (or
+    its highest missing parent), or whose files move one by one into an existing --out.
+    A failure removes every file the run added and is a ConfigError naming the file."""
+    existed = out.exists()
+    top = out if existed else next(p for p in (out, *out.parents) if p.parent.exists())
+    # os.mkdir, unlike tempfile.mkdtemp, gives the directories the umask's mode
+    staging = (out if existed else top.parent) / f".fluidnet-{os.urandom(6).hex()}"
+    files = staging if existed else staging / out.relative_to(top)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        files.mkdir(parents=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    added = []
     try:
-        write_tables(tables)
+        write_tables((files / Path(path).name, *rest) for path, *rest in tables)
         if report_text is not None:
-            with open(out / "report.txt", "w", newline="\n") as fh:
-                fh.write(report_text)
+            (files / "report.txt").write_text(report_text, newline="\n")
+        if not existed:
+            staging.rename(top)
+            return
+        for name in os.listdir(files):
+            if not os.path.lexists(out / name):
+                added.append(out / name)
+            os.replace(files / name, out / name)
     except OSError as exc:
-        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
+        for target in added:
+            target.unlink(missing_ok=True)
+        path = exc.filename2 or (out / Path(exc.filename).name if exc.filename else out)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def cmd_generate(args, config, out):

@@ -61,32 +61,27 @@ def draw_user_set(region: TorusRegion, n: int, seed: int, exclusion_radius: floa
     return UserSet(points=xy, exclusion_radius=exclusion_radius)
 
 
-def _inside_radius(d: np.ndarray, radius: float):
-    """Rows of d whose nearest station is closer than radius, and that station."""
-    best = np.argmin(d, axis=1)
-    rows = np.nonzero(d[np.arange(len(d)), best] < radius)[0]
-    return rows, best[rows]
-
-
 def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarray,
                         d: np.ndarray, exclusion_radius: float):
     """Reposition UEs closer than the exclusion radius to their best server.
 
-    Offenders are pushed radially (away from the server, along the
-    nearest-image direction) to the exclusion radius and the distance rows
-    of those that moved are recomputed. A row that does not move keeps its
-    distances, so after the first pass only the rows just recomputed are
-    scanned again. Rounding can leave a pushed UE a few ulp inside the
-    radius, where the next push puts it back in place and every later push
-    would too: such a UE is left there, and once a pass moves no UE the
-    clamp stops.
+    Returns d and each row's best (nearest) server, from the layout's one
+    argmin pass, updated for every row re-measured. Offenders are pushed
+    radially (away from the server, along the nearest-image direction) to
+    the exclusion radius and the rows of those that moved are recomputed. A
+    row that does not move keeps its distances, so after the first pass only
+    the rows just recomputed are scanned again. Rounding can leave a pushed
+    UE a few ulp inside the radius, where the next push puts it back in place
+    and every later push would too: such a UE is left there, and once a pass
+    moves no UE the clamp stops.
     """
     period = np.array([region.width, region.height])
-    offenders, best = _inside_radius(d, exclusion_radius)
+    best = np.argmin(d, axis=1)
+    offenders = np.nonzero(d[np.arange(len(d)), best] < exclusion_radius)[0]
     for _ in range(_CLAMP_PASSES):
         if offenders.size == 0:
             break
-        bs = stations[best]
+        bs = stations[best[offenders]]
         disp = wrapped_displacement(region, bs, ue[offenders])
         norm = np.hypot(disp[:, 0], disp[:, 1])[:, None]
         unit = np.zeros_like(disp)
@@ -99,9 +94,9 @@ def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarra
         moved = offenders[moves]
         ue[moved] = pushed[moves]
         d[moved] = moved_d = torus_distance_matrix(region, ue[moved], stations)
-        inside, best = _inside_radius(moved_d, exclusion_radius)
-        offenders = moved[inside]
-    return d
+        best[moved] = moved_best = np.argmin(moved_d, axis=1)
+        offenders = moved[moved_d[np.arange(len(moved)), moved_best] < exclusion_radius]
+    return d, best
 
 
 def _progression_step(etas: Sequence[float]):
@@ -127,9 +122,10 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
     eta after the first costs one multiply by the tile's exp(-step * log r)
     in place of the multiply and exp (see the module docstring for the
     error). The reduction runs in L2-sized row tiles of one block per thread
-    (parallel.map_row_blocks): each tile's distances give its rows' best
-    servers and are overwritten by their logarithm, then every eta's gains
-    go through one tile-sized buffer, so there is no full-size gains matrix.
+    (parallel.map_row_blocks): each tile's distances are overwritten by their
+    logarithm, then every eta's gains go through one tile-sized buffer, so
+    there is no full-size gains matrix. Each row's best server comes from
+    the clamp, turned into flat indices once per layout.
     Each tile writes every eta's row sums and serving gains into
     (len(etas), users) buffers, and one subtract and one divide per layout
     turn them into the SINR.
@@ -144,9 +140,9 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
     # layout's matrix (2-4 MB more peak RSS on 200-station fits, seen with glibc malloc).
     sums, serving = np.empty((len(etas), len(ue))), np.empty((len(etas), len(ue)))
     d = torus_distance_matrix(layout.region, ue, layout.stations)
-    d = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
+    d, best = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
     n_cols = layout.n_stations
-    flat_index = np.arange(len(ue)) * n_cols
+    best += np.arange(len(ue)) * n_cols  # flat index of each row's best server in d
     step = _progression_step(etas)
 
     def tile_gains(log_d, g):
@@ -162,13 +158,12 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
             yield np.multiply(g, factor, out=g)
 
     def reduce_rows(rows):
-        # flat index of each row's best server within the tile
-        best = np.argmin(d[rows], axis=1) + flat_index[:rows.stop - rows.start]
+        tile_best = best[rows] - rows.start * n_cols  # flat index within the tile
         log_d = np.log(d[rows], out=d[rows])
         for g, sums_row, serving_row in zip(tile_gains(log_d, np.empty_like(log_d)),
                                             sums, serving):
             np.add.reduce(g, axis=1, out=sums_row[rows])  # what g.sum(axis=1) computes
-            np.take(g, best, out=serving_row[rows], mode="clip")  # "raise" would buffer out
+            np.take(g, tile_best, out=serving_row[rows], mode="clip")  # "raise" would buffer out
 
     # a zero interference or an overflow gives a non-finite SINR, for which
     # run_monte_carlo raises DomainError; numpy's warning would only precede it

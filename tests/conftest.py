@@ -18,8 +18,5 @@ def poisson_cdfs(full_config):
 
 @pytest.fixture
 def worker_count(monkeypatch):
-    """Setter for the row-block worker count; each test gets its own thread pool."""
-    monkeypatch.setattr(parallel, "_pool", None)
-    yield lambda n: monkeypatch.setattr(parallel, "WORKERS", n)
-    if parallel._pool is not None:
-        parallel._pool.shutdown()
+    """Setter for the row-block worker count."""
+    return lambda n: monkeypatch.setattr(parallel, "WORKERS", n)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import filecmp
 import os
 import re
@@ -371,6 +372,41 @@ class TestCli:
         assert main([command, "--runs", "1", "--users", "10", "--eta", "3,4",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {out / blocked}: Is a directory\n"
+        assert os.listdir(out) == [blocked]  # the run's other files are gone again
+
+    @pytest.mark.parametrize("existing, step, k", [
+        (False, "write", 1), (False, "write", 5), (True, "write", 1), (True, "write", 3),
+        (True, "move", 1), (True, "move", 3), (True, "move", 5)])
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys, existing,
+                                               step, k):
+        # fit writes 5 files; the k-th write into the staging directory, or the k-th
+        # move from it into an existing --out, fails: no file or directory of the run stays
+        calls = []
+
+        def failing_on_k(real):
+            def call(path, *args, **kwargs):
+                calls.append(Path(path).name)
+                if len(calls) == k:
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+                return real(path, *args, **kwargs)
+            return call
+
+        if step == "write":
+            monkeypatch.setattr(fluidnet.io, "write_csv", failing_on_k(fluidnet.io.write_csv))
+        else:
+            monkeypatch.setattr(os, "replace", failing_on_k(os.replace))
+        out = tmp_path / "parent" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["fit", "--runs", "1", "--users", "10", "--eta", "3,4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write {out / calls[-1]}: "
+                                           "No space left on device\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        if existing:
+            assert (out / "notes.txt").read_text() == "kept\n"
 
     def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
         out = tmp_path / "out"
@@ -390,18 +426,29 @@ class TestCli:
         assert result.stdout.strip() == "[]"
 
     def test_cli_import_and_one_row_start_no_thread_pool(self):
-        # set-up pays for no threads: concurrent.futures and the pool load on the first split
-        code = ("import sys, fluidnet.cli\n"
+        # set-up pays for no threads; a fit-sized layout splits its distances and its
+        # reduction, each starting one thread for the call alone, and none stays
+        code = ("import sys, threading, fluidnet.cli\n"
                 "import numpy as np\n"
-                "from fluidnet import UserSet, generate_hexagonal, parallel, sinr_field\n"
+                "from fluidnet import (ModelKind, NetworkLayout, TorusRegion, UserSet,\n"
+                "                      generate_hexagonal, parallel, sinr_field)\n"
                 "imported = 'concurrent.futures' in sys.modules\n"
                 "users = UserSet(np.array([[0.1, 0.2]]), 0.0)\n"
                 "sinr_field(generate_hexagonal(2), [3.0], users)\n"
-                "print(imported, 'concurrent.futures' in sys.modules, parallel._pool)")
+                "one_row = 'concurrent.futures' in sys.modules\n"
+                "start, started = threading.Thread.start, []\n"
+                "threading.Thread.start = lambda thread: (started.append(thread), start(thread))\n"
+                "parallel.WORKERS = 2\n"
+                "rng = np.random.default_rng(5)\n"
+                "fit_sized = NetworkLayout(TorusRegion(10.0, 10.0), rng.random((200, 2)) * 10.0,\n"
+                "                          ModelKind.POISSON)\n"
+                "sinr_field(fit_sized, [3.0, 3.4], UserSet(rng.random((2000, 2)) * 10.0, 0.01))\n"
+                "print(imported, one_row, len(started), 'concurrent.futures' in sys.modules,\n"
+                "      threading.active_count())")
         env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, check=True)
-        assert result.stdout.strip() == "False False None"
+        assert result.stdout.strip() == "False False 2 False 1"
 
     def test_fit_outputs(self, tmp_path):
         assert main(["fit", "--eta", "2.8,3.6", "--runs", "5", "--users", "200",

@@ -64,16 +64,18 @@ def tiles_by_thread(n_rows, n_cols):
     return by_thread
 
 
-def test_report_sized_layout_runs_inline_without_pool(worker_count):
+def test_report_sized_layout_runs_inline_without_pool(worker_count, monkeypatch):
     # 2000 users x 56 stations, a report_default layout, is under two blocks of pairs
     worker_count(2)
     assert 2000 * 56 < 2 * MIN_BLOCK_PAIRS
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
     assert list(tiles_by_thread(2000, 56)) == [threading.get_ident()]
-    assert parallel._pool is None
+    assert started == []
 
 
 def test_fit_sized_layout_makes_two_blocks(worker_count):
-    # 2000 users x 200 stations, a fit_large_torus layout: the caller and one pool thread
+    # 2000 users x 200 stations, a fit_large_torus layout: the caller and one more thread
     worker_count(2)
     by_thread = tiles_by_thread(2000, 200)
     caller = by_thread.pop(threading.get_ident())

@@ -290,7 +290,7 @@ class TestKernelAccuracy:
 
 
 def clamp_counting_measures(monkeypatch, layout, ue, radius):
-    """Run the clamp on ue in place; returns its distance rows and its re-measures."""
+    """Run the clamp on ue in place; returns its distance rows, best servers and re-measures."""
     distances, calls = SINR_MODULE.torus_distance_matrix, []
 
     def counted_distances(*args):
@@ -299,8 +299,8 @@ def clamp_counting_measures(monkeypatch, layout, ue, radius):
 
     d = distances(layout.region, ue, layout.stations)
     monkeypatch.setattr(SINR_MODULE, "torus_distance_matrix", counted_distances)
-    d = SINR_MODULE._clamp_to_exclusion(layout.region, layout.stations, ue, d, radius)
-    return d, len(calls)
+    d, best = SINR_MODULE._clamp_to_exclusion(layout.region, layout.stations, ue, d, radius)
+    return d, best, len(calls)
 
 
 class TestExclusionClamp:
@@ -309,7 +309,7 @@ class TestExclusionClamp:
         # where it is, so the clamp stops instead of re-measuring it pass after pass
         layout = make_layout([[4, 4], [8, 7]])
         ue = np.array([[4.05, 4.05]])
-        d, measures = clamp_counting_measures(monkeypatch, layout, ue, 0.3)
+        d, _, measures = clamp_counting_measures(monkeypatch, layout, ue, 0.3)
         assert measures == 1
         assert ue[0] == pytest.approx(4 + 0.3 / math.sqrt(2), abs=1e-15)
         assert d[0, 0] == pytest.approx(0.3, abs=1e-15)
@@ -319,7 +319,7 @@ class TestExclusionClamp:
         # the station's nearest image lies across both edges; the push wraps back in
         layout = make_layout([[0.1, 9.9], [5, 5]])
         ue = np.array([[9.95, 0.05]])
-        d, measures = clamp_counting_measures(monkeypatch, layout, ue, 0.3)
+        d, _, measures = clamp_counting_measures(monkeypatch, layout, ue, 0.3)
         step = 0.3 / math.sqrt(2)
         assert ue[0] == pytest.approx([10.1 - step, step - 0.1], abs=1e-12)
         assert np.all((0 <= ue) & (ue < 10))
@@ -328,6 +328,22 @@ class TestExclusionClamp:
                                                                                        abs=1e-12)
         assert d[0, 0] == pytest.approx(0.3, abs=1e-12)
         assert measures == 1
+
+
+    @pytest.mark.parametrize("radius, server_changes", [(0.2, False), (0.5, True)])
+    def test_best_server_is_the_argmin_of_every_row(self, monkeypatch, radius, server_changes):
+        # sinr_field serves each row from the clamp's best, so it must stay the argmin
+        # of the returned rows, the re-measured ones included. A user on the station
+        # at (5, 5) is pushed towards the one at (5.6, 5): past 0.3 it is nearer that one
+        rng = np.random.default_rng(43)
+        stations = np.concatenate([[[5.0, 5.0], [5.6, 5.0]], rng.random((30, 2)) * 10.0])
+        layout = make_layout(stations)
+        ue = np.concatenate([stations, rng.random((400, 2)) * 10.0])
+        first = np.argmin(torus_distance_matrix(layout.region, ue, stations), axis=1)
+        d, best, measures = clamp_counting_measures(monkeypatch, layout, ue, radius)
+        assert measures > 0 and not np.array_equal(ue[:len(stations)], stations)
+        assert np.array_equal(best, np.argmin(d, axis=1))
+        assert (best[0] != first[0]) == server_changes
 
 
 class TestMonteCarlo:
