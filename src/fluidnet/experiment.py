@@ -19,10 +19,11 @@ def monte_carlo_cdfs(config: ExperimentConfig,
                      model_kind: ModelKind = ModelKind.POISSON) -> dict:
     """{eta: EmpiricalCdf} over config.eta_list from one Monte Carlo sweep.
 
-    Each eta's linear samples are released as soon as its CDF is built.
+    Each eta's CDF is built inside its row of the sweep's samples array, so
+    the CDFs take no memory beyond the samples.
     """
     samples = run_monte_carlo(config, model_kind=model_kind)
-    return {eta: empirical_cdf(samples.pop(eta)) for eta in list(samples)}
+    return {eta: empirical_cdf(row) for eta, row in samples.items()}
 
 
 def fit_shift_law(config: ExperimentConfig, poisson_cdfs: dict) -> ShiftFit:

@@ -39,7 +39,8 @@ def _wrapped_axis_delta(a, b, period, out, scratch):
     np.minimum(out, np.subtract(period, out, out=scratch), out=out)
 
 
-def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise toroidal distances between point arrays a (n,2) and b (m,2).
 
     Both arrays must hold wrapped coordinates, x in [0, width] and y in
@@ -50,9 +51,12 @@ def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray) -> 
     and 1e150).
     The result is filled in L2-sized row tiles of one block per thread
     (parallel.map_row_blocks); each tile's axis deltas use two tile-sized
-    buffers, so the result is the only full-size matrix.
+    buffers, so the result is the only full-size matrix. It is written into
+    out, a float64 array of shape (len(a), len(b)) such as a view of a
+    buffer the caller keeps across calls, and out is returned; by default a
+    new matrix is allocated.
     """
-    d = np.empty((len(a), len(b)))
+    d = np.empty((len(a), len(b))) if out is None else out
 
     def fill(rows):
         x = d[rows]

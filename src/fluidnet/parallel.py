@@ -20,12 +20,16 @@ from contextvars import copy_context
 # fit_large_torus (2000 users x about 200 stations, 7 eta) keeps two blocks a
 # layout: with no split its wall_s lost 4/4 pairs by 1-19%, then 6/8 (medians
 # 0.397 against 0.359 s, at 1.7 MB less peak RSS), and one 35 s run read 0.432
-# against 0.378 s; with 200000, which leaves about half of its layouts whole,
-# it lost 4/4 by 9-27%. report_default (2000 users x 50 stations on average,
-# at most about 75, 11 eta) runs inline, which takes about 2 MB off its peak
-# RSS and did not slow it. Outside the benchmark the split does not pay: one
-# fresh interpreter per fit run on the fit_large_torus config was faster with
-# one worker in 19 of 20 pairs (medians 0.393 against 0.468 s).
+# against 0.378 s. The second thread costs peak RSS: re-measured with one
+# distance buffer per run (one in-process fit per fresh interpreter, program
+# seeds 1-6, same Xeon), 46.2-46.7 MB with one worker against 48.1-48.8 MB
+# with two, 1.8-2.3 MB seed by seed. With 200000, which leaves about half of
+# its layouts whole, it lost 4/4 by 9-27%. report_default (2000 users x 50
+# stations on average, at most about 75, 11 eta) runs inline, which takes
+# about 2 MB off its peak RSS and did not slow it. Outside the benchmark the
+# split does not pay: one fresh interpreter per fit run on the fit_large_torus
+# config was faster with one worker in 19 of 20 pairs (medians 0.393 against
+# 0.468 s).
 MIN_BLOCK_PAIRS = 150_000
 # Most elements of one row tile: 32768 float64 are 256 kB, so the three tile
 # buffers of torus_distance_matrix and the two of sinr_field stay in a 2 MB

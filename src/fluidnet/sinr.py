@@ -112,8 +112,9 @@ def _progression_step(etas: Sequence[float]):
     return step if drift.max() <= _PROGRESSION_TOL else None
 
 
-def sinr_field(layout: NetworkLayout, etas: Sequence[float],
-               users: UserSet) -> np.ndarray:
+def sinr_field(layout: NetworkLayout, etas: Sequence[float], users: UserSet, *,
+               distances: np.ndarray | None = None, sums: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Linear SINR of shape (len(etas), users), with exclusion-radius clamping.
 
     Distances, the clamp and log r depend only on the layout, so they are
@@ -126,23 +127,30 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
     logarithm, then every eta's gains go through one tile-sized buffer, so
     there is no full-size gains matrix. Each row's best server comes from
     the clamp, turned into flat indices once per layout.
-    Each tile writes every eta's row sums and serving gains into
-    (len(etas), users) buffers, and one subtract and one divide per layout
-    turn them into the SINR.
+    Each tile writes every eta's row sums into sums and its serving gains
+    into out, and one subtract and one divide per layout turn out into the
+    SINR, which is returned.
+
+    The three buffers let a caller keep them across layouts, and each
+    defaults to a new array: distances is a 1-D float64 array of at least
+    users x stations elements, whose leading users x stations view receives
+    the distance matrix; sums and out are float64 arrays of shape
+    (len(etas), users), such as a slice of the caller's samples.
     """
     if not all(eta > 2 for eta in etas):
         raise DomainError("path loss exponent must exceed 2")
     if layout.n_stations < 2:
         raise DomainError("SINR needs at least 2 stations")
     ue = users.points.astype(float).copy()
-    # Allocated before the distance matrix, which the returned buffer outlives: above
-    # the freed matrix it would keep the heap from reusing that space for the next
-    # layout's matrix (2-4 MB more peak RSS on 200-station fits, seen with glibc malloc).
-    sums, serving = np.empty((len(etas), len(ue))), np.empty((len(etas), len(ue)))
-    d = torus_distance_matrix(layout.region, ue, layout.stations)
+    n_rows, n_cols = len(ue), layout.n_stations
+    if sums is None:
+        sums = np.empty((len(etas), n_rows))
+    if out is None:
+        out = np.empty((len(etas), n_rows))
+    d = None if distances is None else distances[:n_rows * n_cols].reshape(n_rows, n_cols)
+    d = torus_distance_matrix(layout.region, ue, layout.stations, out=d)
     d, best = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
-    n_cols = layout.n_stations
-    best += np.arange(len(ue)) * n_cols  # flat index of each row's best server in d
+    best += np.arange(n_rows) * n_cols  # flat index of each row's best server in d
     step = _progression_step(etas)
 
     def tile_gains(log_d, g):
@@ -161,16 +169,16 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float],
         tile_best = best[rows] - rows.start * n_cols  # flat index within the tile
         log_d = np.log(d[rows], out=d[rows])
         for g, sums_row, serving_row in zip(tile_gains(log_d, np.empty_like(log_d)),
-                                            sums, serving):
+                                            sums, out):
             np.add.reduce(g, axis=1, out=sums_row[rows])  # what g.sum(axis=1) computes
             np.take(g, tile_best, out=serving_row[rows], mode="clip")  # "raise" would buffer out
 
     # a zero interference or an overflow gives a non-finite SINR, for which
     # run_monte_carlo raises DomainError; numpy's warning would only precede it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        map_row_blocks(reduce_rows, len(ue), n_cols)
-        sums -= serving
-        return np.divide(serving, sums, out=sums)
+        map_row_blocks(reduce_rows, n_rows, n_cols)
+        sums -= out
+        return np.divide(out, sums, out=out)
 
 
 def run_monte_carlo(config: ExperimentConfig, *,
@@ -180,9 +188,13 @@ def run_monte_carlo(config: ExperimentConfig, *,
     The UE set is drawn once. The Poisson model redraws the station layout
     for each of config.runs runs from a derived sub-seed; the hexagonal
     reference layout is deterministic, so it is drawn and measured once.
-    Each layout is measured once for all eta values. Returns
-    {eta: linear SINR samples}, pooled in run-major order, one array per
-    eta so callers can release them one at a time.
+    Each layout is measured once for all eta values, and sinr_field writes
+    its SINR straight into the layout's columns of one (len(etas),
+    runs x users) samples array. The run keeps one distance buffer, replaced
+    only when a layout has more stations than every one before it, and one
+    row-sum buffer, so a layout allocates no matrix of its own. Returns
+    {eta: linear SINR samples}, pooled in run-major order; each value is a
+    row of that samples array.
     Raises DomainError when a layout yields a non-finite SINR.
     """
     etas = config.eta_list
@@ -195,17 +207,20 @@ def run_monte_carlo(config: ExperimentConfig, *,
                           exclusion_radius=config.exclusion)
 
     n = config.users
-    samples = [np.empty(runs * n) for _ in etas]
+    samples, sums = np.empty((len(etas), runs * n)), np.empty((len(etas), n))
+    distances = np.empty(0)
     for k in range(1, runs + 1):
         if model_kind is ModelKind.HEXAGONAL:
             layout = hexagonal
         else:
             layout = generate_poisson(region, child_seed(config.seed, k))
-        field = sinr_field(layout, etas, users)
+        if n * layout.n_stations > distances.size:
+            distances = None  # freed before the larger buffer is allocated
+            distances = np.empty(n * layout.n_stations)
+        field = sinr_field(layout, etas, users, distances=distances, sums=sums,
+                           out=samples[:, (k - 1) * n:k * n])
         finite = np.isfinite(field).all(axis=1)
         if not finite.all():
             eta = etas[int(np.argmin(finite))]
             raise DomainError(f"non-finite SINR at eta={eta:g} in layout {k}")
-        for eta_samples, row in zip(samples, field):
-            eta_samples[(k - 1) * n:k * n] = row
     return dict(zip(etas, samples))

@@ -49,6 +49,26 @@ def test_matches_explicit_image_enumeration():
     assert np.max(np.abs(torus_distance_matrix(region, a, b) - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_out_receives_the_matrix(worker_count, monkeypatch, workers):
+    # a caller's buffer: the leading part of a larger 1-D array, filled in ragged
+    # tiles by one or two threads with the distances a fresh call returns
+    rng = np.random.default_rng(13)
+    region = TorusRegion(2.5, 1.3)
+    a = rng.random((301, 2)) * [region.width, region.height]
+    b = rng.random((7, 2)) * [region.width, region.height]
+    fresh = torus_distance_matrix(region, a, b)
+    monkeypatch.setattr(parallel, "TILE_ELEMENTS", 5 * 7 + 3)
+    monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 100 * 7)
+    worker_count(workers)
+    buffer = np.full(301 * 7 + 50, np.nan)
+    view = buffer[:301 * 7].reshape(301, 7)
+    d = torus_distance_matrix(region, a, b, out=view)
+    assert d is view and d.base is buffer
+    assert np.array_equal(d, fresh)
+    assert np.isnan(buffer[301 * 7:]).all()  # the rest of the buffer is left alone
+
+
 def test_distance_symmetric_and_bounded():
     rng = np.random.default_rng(11)
     region = TorusRegion(3.0, 2.0)

@@ -420,12 +420,12 @@ class TestMonteCarlo:
         measured = {"layouts": [], "clamp": 0}
         in_clamp = [False]
 
-        def counted_distances(region, a, b):
+        def counted_distances(region, a, b, **kwargs):
             if in_clamp[0]:
                 measured["clamp"] += len(a) * len(b)
             else:
                 measured["layouts"].append((len(a), len(b)))
-            return distances(region, a, b)
+            return distances(region, a, b, **kwargs)
 
         def flagged_clamp(*args):
             in_clamp[0] = True
@@ -457,6 +457,49 @@ class TestMonteCarlo:
         total = sum(u * s for u, s in layouts) + remeasured
         doubled_total = sum(u * s for u, s in doubled) + doubled_remeasured
         assert doubled_total == pytest.approx(2 * total, rel=0.1)
+
+    def test_distance_buffer_grows_only_at_a_new_station_maximum(self, monkeypatch):
+        # each layout's distances go into a view of the run's one buffer, replaced only
+        # by a layout with more stations than every one before it
+        distances = SINR_MODULE.torus_distance_matrix
+        layouts = []  # (stations, buffer) of each layout's distance pass
+
+        def recorded_distances(region, a, b, out=None):
+            d = distances(region, a, b, out=out)
+            if out is not None:  # the clamp's re-measures take no buffer
+                assert d is out and d.nbytes == len(a) * len(b) * 8
+                layouts.append((len(b), out.base))
+            return d
+
+        monkeypatch.setattr(SINR_MODULE, "torus_distance_matrix", recorded_distances)
+        cfg = ExperimentConfig(runs=10, users=100, eta_list=(2.6, 3.0), exclusion=0.2, seed=4)
+        run_monte_carlo(cfg)
+        assert len(layouts) == cfg.runs
+        most, buffers = 0, []
+        for stations, buffer in layouts:
+            assert (stations > most) == (not buffers or buffer is not buffers[-1])
+            if stations > most:
+                most = stations
+                buffers.append(buffer)
+            assert buffer.size == cfg.users * most
+        assert 1 < len(buffers) < cfg.runs  # the run both kept and replaced its buffer
+
+    @pytest.mark.parametrize("etas", [DEFAULT_ETAS, (2.4, 3.3, 4.1)])
+    def test_samples_match_unbuffered_layouts(self, worker_count, monkeypatch, etas):
+        # the run's buffers change no bit of any layout's SINR, with the clamp moving
+        # users and the rows split into two blocks of ragged tiles
+        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 64 * 40)
+        monkeypatch.setattr(parallel, "TILE_ELEMENTS", 5 * 40 + 3)
+        worker_count(2)
+        cfg = ExperimentConfig(runs=10, users=300, eta_list=etas, exclusion=0.2, seed=4)
+        sweep = run_monte_carlo(cfg)
+        region = SINR_MODULE.region_for_expected_count(cfg.expected_stations)
+        users = SINR_MODULE.draw_user_set(region, cfg.users, cfg.seed, cfg.exclusion)
+        n = cfg.users
+        for k in range(1, cfg.runs + 1):
+            layout = SINR_MODULE.generate_poisson(region, SINR_MODULE.child_seed(cfg.seed, k))
+            for eta, row in zip(etas, sinr_field(layout, etas, users)):
+                assert np.array_equal(sweep[eta][(k - 1) * n:k * n], row)
 
     @pytest.mark.parametrize("kind", [ModelKind.POISSON, ModelKind.HEXAGONAL])
     def test_sweep_matches_one_eta_runs(self, kind):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 from fluidnet import cli
 from fluidnet.config import eta_label
+from fluidnet.placement import generate_poisson, region_for_expected_count
+from fluidnet.rng import child_seed
 from fluidnet.sinr import _CLAMP_PASSES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,11 +42,16 @@ def test_traced_report_records_every_layer(tmp_path):
     # exclusion radius makes the clamp move users and re-measure their rows
     out, conf = tmp_path / "out", tmp_path / "wide_exclusion.cfg"
     conf.write_text("exclusion = 0.2\n")
-    argv = ["report", "--config", str(conf), "--runs", "1", "--users", "50",
+    argv = ["report", "--config", str(conf), "--runs", "4", "--users", "50",
             "--eta", "2.6,3.0", "--out", str(out)]
     # the work the report must do, from its config alone: one Poisson layout per
     # run plus the hexagonal lattice, each measured once for every eta
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    # a layout with fewer stations than an earlier one gets a view of a larger buffer
+    region = region_for_expected_count(config.expected_stations)
+    station_counts = [generate_poisson(region, child_seed(config.seed, k)).n_stations
+                      for k in range(1, config.runs + 1)]
+    assert any(s < max(station_counts[:i]) for i, s in enumerate(station_counts) if i)
     layouts = config.runs + 1
     samples = config.users * layouts * len(config.eta_list)
     csv_files = report_csv_files(config)
@@ -77,6 +84,9 @@ def test_traced_report_records_every_layer(tmp_path):
     field_pairs = config.users * stations
     remeasures = counts["geometry.pairs"] - field_pairs
     assert counts["check.field_pairs"] == counts["check.reduce_pairs"] == field_pairs
+    # every distance call returns its own users x stations matrix, never the whole
+    # of a larger buffer it was written into
+    assert counts["geometry.bytes_computed"] == 8 * counts["geometry.pairs"]
     assert 0 <= remeasures <= counts["sinr.clamped_users"] * stations * _CLAMP_PASSES
     distance_parents = [spans[span[1]][0] for span in spans if span[0] == "geometry.distance"]
     assert distance_parents.count("sinr.reduce") == layouts
