@@ -15,30 +15,17 @@ import threading
 from contextvars import copy_context
 
 # Fewest row-column pairs per block: an n_rows x n_cols matrix makes at most
-# n_rows * n_cols // MIN_BLOCK_PAIRS blocks. Chosen, and the split kept, by
-# timing whole runs on a 2 vCPU Xeon (perfbench, alternating pairs).
-# fit_large_torus (2000 users x about 200 stations, 7 eta) keeps two blocks a
-# layout: with no split its wall_s lost 4/4 pairs by 1-19%, then 6/8 (medians
-# 0.397 against 0.359 s, at 1.7 MB less peak RSS), and one 35 s run read 0.432
-# against 0.378 s. The second thread costs peak RSS: re-measured with one
-# distance buffer per run (one in-process fit per fresh interpreter, program
-# seeds 1-6, same Xeon), 46.2-46.7 MB with one worker against 48.1-48.8 MB
-# with two, 1.8-2.3 MB seed by seed. With 200000, which leaves about half of
-# its layouts whole, it lost 4/4 by 9-27%. report_default (2000 users x 50
-# stations on average, at most about 75, 11 eta) runs inline, which takes
-# about 2 MB off its peak RSS and did not slow it. Outside the benchmark the
-# split does not pay: one fresh interpreter per fit run on the fit_large_torus
-# config was faster with one worker in 19 of 20 pairs (medians 0.393 against
-# 0.468 s).
+# n_rows * n_cols // MIN_BLOCK_PAIRS blocks. Chosen by timing whole benchmark
+# runs (CHANGES.md): fit_large_torus (2000 users x about 200 stations, 7 eta)
+# keeps two blocks a layout, which made it faster at the cost of the second
+# thread's peak RSS, and report_default (2000 users x about 50 stations)
+# runs inline, which lowered its peak RSS and did not slow it. With one
+# fresh interpreter per fit run, outside the benchmark, one block was faster.
 MIN_BLOCK_PAIRS = 150_000
 # Most elements of one row tile: 32768 float64 are 256 kB, so the three tile
 # buffers of torus_distance_matrix and the two of sinr_field stay in a 2 MB
-# L2. Timing one thread on the Xeon above (2 MB L2 a core), 2000 users,
-# median of 11 best-of-40 runs: torus_distance_matrix with 200 stations took
-# 2.74, 2.51, 2.32 and 2.48 ms in tiles of 8192, 16384, 32768 and 65536
-# elements, and 5.12 ms untiled; sinr_field with 7 eta took 7.8 ms against
-# 13.6 ms untiled, level within noise from 16384 to 65536. With 50 stations
-# (800 kB matrices) the distances took 0.53 against 0.58 ms untiled.
+# L2. Timed on one thread against smaller, larger and untiled passes
+# (CHANGES.md): both kernels were fastest near this size.
 TILE_ELEMENTS = 32768
 
 try:

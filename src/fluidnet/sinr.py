@@ -113,8 +113,7 @@ def _progression_step(etas: Sequence[float]):
 
 
 def sinr_field(layout: NetworkLayout, etas: Sequence[float], users: UserSet, *,
-               distances: np.ndarray | None = None, sums: np.ndarray | None = None,
-               out: np.ndarray | None = None) -> np.ndarray:
+               distances: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Linear SINR of shape (len(etas), users), with exclusion-radius clamping.
 
     Distances, the clamp and log r depend only on the layout, so they are
@@ -126,25 +125,22 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float], users: UserSet, *,
     (parallel.map_row_blocks): each tile's distances are overwritten by their
     logarithm, then every eta's gains go through one tile-sized buffer, so
     there is no full-size gains matrix. Each row's best server comes from
-    the clamp, turned into flat indices once per layout.
-    Each tile writes every eta's row sums into sums and its serving gains
-    into out, and one subtract and one divide per layout turn out into the
-    SINR, which is returned.
+    the clamp, turned into flat indices once per layout. For each eta a tile
+    takes its serving gains into its slice of out, subtracts them from its
+    row sums and divides in place, so out holds the SINR, which is returned.
 
-    The three buffers let a caller keep them across layouts, and each
-    defaults to a new array: distances is a 1-D float64 array of at least
-    users x stations elements, whose leading users x stations view receives
-    the distance matrix; sums and out are float64 arrays of shape
-    (len(etas), users), such as a slice of the caller's samples.
+    Both buffers let a caller keep them across layouts, and each defaults
+    to a new array: distances is a 1-D float64 array of at least users x
+    stations elements, whose leading users x stations view receives the
+    distance matrix; out is a float64 array of shape (len(etas), users),
+    such as a slice of the caller's samples.
     """
     if not all(eta > 2 for eta in etas):
         raise DomainError("path loss exponent must exceed 2")
     if layout.n_stations < 2:
         raise DomainError("SINR needs at least 2 stations")
-    ue = users.points.astype(float).copy()
+    ue = users.points.astype(float)
     n_rows, n_cols = len(ue), layout.n_stations
-    if sums is None:
-        sums = np.empty((len(etas), n_rows))
     if out is None:
         out = np.empty((len(etas), n_rows))
     d = None if distances is None else distances[:n_rows * n_cols].reshape(n_rows, n_cols)
@@ -168,56 +164,55 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float], users: UserSet, *,
     def reduce_rows(rows):
         tile_best = best[rows] - rows.start * n_cols  # flat index within the tile
         log_d = np.log(d[rows], out=d[rows])
-        for g, sums_row, serving_row in zip(tile_gains(log_d, np.empty_like(log_d)),
-                                            sums, out):
-            np.add.reduce(g, axis=1, out=sums_row[rows])  # what g.sum(axis=1) computes
-            np.take(g, tile_best, out=serving_row[rows], mode="clip")  # "raise" would buffer out
+        interference = np.empty(len(tile_best))
+        for g, serving in zip(tile_gains(log_d, np.empty_like(log_d)), out[:, rows]):
+            np.take(g, tile_best, out=serving, mode="clip")  # "raise" would buffer out
+            np.add.reduce(g, axis=1, out=interference)  # what g.sum(axis=1) computes
+            interference -= serving
+            np.divide(serving, interference, out=serving)
 
     # a zero interference or an overflow gives a non-finite SINR, for which
     # run_monte_carlo raises DomainError; numpy's warning would only precede it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         map_row_blocks(reduce_rows, n_rows, n_cols)
-        sums -= out
-        return np.divide(out, sums, out=out)
+    return out
 
 
 def run_monte_carlo(config: ExperimentConfig, *,
                     model_kind: ModelKind = ModelKind.POISSON) -> dict:
     """Monte Carlo SINR experiment for every path-loss exponent in config.eta_list.
 
-    The UE set is drawn once. The Poisson model redraws the station layout
-    for each of config.runs runs from a derived sub-seed; the hexagonal
+    The UE set is drawn once. The Poisson model draws each of config.runs
+    station layouts from a derived sub-seed as its run starts; the hexagonal
     reference layout is deterministic, so it is drawn and measured once.
     Each layout is measured once for all eta values, and sinr_field writes
     its SINR straight into the layout's columns of one (len(etas),
     runs x users) samples array. The run keeps one distance buffer, replaced
-    only when a layout has more stations than every one before it, and one
-    row-sum buffer, so a layout allocates no matrix of its own. Returns
-    {eta: linear SINR samples}, pooled in run-major order; each value is a
-    row of that samples array.
+    only when a layout has more stations than every one before it, so a
+    layout allocates no matrix of its own. Returns {eta: linear SINR
+    samples}, pooled in run-major order; each value is a row of that
+    samples array.
     Raises DomainError when a layout yields a non-finite SINR.
     """
     etas = config.eta_list
     if model_kind is ModelKind.HEXAGONAL:
         hexagonal = generate_hexagonal(config.rings)
-        region, runs = hexagonal.region, 1
+        region, runs, layouts = hexagonal.region, 1, [hexagonal]
     else:
         region, runs = region_for_expected_count(config.expected_stations), config.runs
+        layouts = (generate_poisson(region, child_seed(config.seed, k))
+                   for k in range(1, runs + 1))
     users = draw_user_set(region, config.users, config.seed,
                           exclusion_radius=config.exclusion)
 
     n = config.users
-    samples, sums = np.empty((len(etas), runs * n)), np.empty((len(etas), n))
+    samples = np.empty((len(etas), runs * n))
     distances = np.empty(0)
-    for k in range(1, runs + 1):
-        if model_kind is ModelKind.HEXAGONAL:
-            layout = hexagonal
-        else:
-            layout = generate_poisson(region, child_seed(config.seed, k))
+    for k, layout in enumerate(layouts, 1):
         if n * layout.n_stations > distances.size:
-            distances = None  # freed before the larger buffer is allocated
+            distances = None  # freed first, which also keeps each tile's scratch on the heap
             distances = np.empty(n * layout.n_stations)
-        field = sinr_field(layout, etas, users, distances=distances, sums=sums,
+        field = sinr_field(layout, etas, users, distances=distances,
                            out=samples[:, (k - 1) * n:k * n])
         finite = np.isfinite(field).all(axis=1)
         if not finite.all():

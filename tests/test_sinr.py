@@ -271,6 +271,30 @@ class TestKernelAccuracy:
             assert not np.isfinite(field[:, 0]).any()
             assert np.isfinite(field[:, 1]).all()
 
+    @pytest.mark.parametrize("etas", [DEFAULT_ETAS, DEFAULT_ETAS[::-1], (2.4, 3.3, 4.1)])
+    def test_split_layout_stays_silent_on_non_finite_sinr(self, worker_count, monkeypatch,
+                                                          etas):
+        # each block divides in its own thread, which must run under the caller's
+        # error state: two blocks of ragged tiles, the user on a station in the second
+        rng = np.random.default_rng(47)
+        layout = make_layout(rng.random((20, 2)) * 10.0)
+        points = rng.random((300, 2)) * 10.0
+        points[200] = layout.stations[3]
+        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 100 * 20)
+        monkeypatch.setattr(parallel, "TILE_ELEMENTS", 7 * 20 + 3)
+        worker_count(2)
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t, start=threading.Thread.start: starts.append(t) or start(t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = sinr_field(layout, etas, UserSet(points=points, exclusion_radius=0.0))
+        assert len(starts) == 2  # one extra block for the distances, one for the reduction
+        finite = np.isfinite(field)
+        assert not finite[:, 200].any()
+        finite[:, 200] = True
+        assert finite.all()
+
     def test_user_on_a_station_fails_the_monte_carlo(self, monkeypatch):
         def layout_under_the_user(region, seed):
             return make_layout([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0]], region.width, region.height)
@@ -500,6 +524,24 @@ class TestMonteCarlo:
             layout = SINR_MODULE.generate_poisson(region, SINR_MODULE.child_seed(cfg.seed, k))
             for eta, row in zip(etas, sinr_field(layout, etas, users)):
                 assert np.array_equal(sweep[eta][(k - 1) * n:k * n], row)
+
+    def test_each_layout_is_drawn_as_its_run_starts(self, monkeypatch):
+        # drawing every layout before the first is measured cost a fresh process's
+        # first run several times the page faults (CHANGES.md), so the draw stays lazy
+        generate, field, calls = SINR_MODULE.generate_poisson, SINR_MODULE.sinr_field, []
+
+        def recorded_generate(*args, **kwargs):
+            calls.append("draw")
+            return generate(*args, **kwargs)
+
+        def recorded_field(*args, **kwargs):
+            calls.append("field")
+            return field(*args, **kwargs)
+
+        monkeypatch.setattr(SINR_MODULE, "generate_poisson", recorded_generate)
+        monkeypatch.setattr(SINR_MODULE, "sinr_field", recorded_field)
+        run_monte_carlo(ExperimentConfig(runs=4, users=50, eta_list=(2.6, 3.0), seed=3))
+        assert calls == ["draw", "field"] * 4
 
     @pytest.mark.parametrize("kind", [ModelKind.POISSON, ModelKind.HEXAGONAL])
     def test_sweep_matches_one_eta_runs(self, kind):
