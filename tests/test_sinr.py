@@ -283,13 +283,13 @@ class TestKernelAccuracy:
         monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 100 * 20)
         monkeypatch.setattr(parallel, "TILE_ELEMENTS", 7 * 20 + 3)
         worker_count(2)
-        starts = []
+        start, started = threading.Thread.start, []
         monkeypatch.setattr(threading.Thread, "start",
-                            lambda t, start=threading.Thread.start: starts.append(t) or start(t))
+                            lambda thread: (started.append(thread), start(thread)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             field = sinr_field(layout, etas, UserSet(points=points, exclusion_radius=0.0))
-        assert len(starts) == 2  # one extra block for the distances, one for the reduction
+        assert len(started) == 2  # one extra block for the distances, one for the reduction
         finite = np.isfinite(field)
         assert not finite[:, 200].any()
         finite[:, 200] = True
