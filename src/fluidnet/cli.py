@@ -8,6 +8,7 @@ directory). Data goes to files, progress to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import shutil
 import sys
@@ -15,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import io
 from .config import (ExperimentConfig, config_from_mapping, eta_label, load_config_file,
                      parse_float_list)
 from .errors import ConfigError, FluidNetError
 from .experiment import correlation_for, fit_shift_law, monte_carlo_cdfs, throughput_for
 from .fluid import FluidCdf, FluidModel, fluid_curve
-from .io import checked_table, write_tables
 from .placement import (DENSITY, ModelKind, generate_hexagonal, generate_poisson,
                         region_for_expected_count)
 from .stats import CANONICAL_FIT
@@ -98,10 +99,13 @@ def _out_dir(args) -> Path:
 
 
 def _write(out: Path, tables, report_text: str | None = None):
-    """Write the checked tables and report.txt into --out, all or nothing: first into a
-    fresh hidden directory on --out's filesystem, which one rename makes a new --out (or
-    its highest missing parent), or whose files move one by one into an existing --out.
-    A failure removes every file the run added and is a ConfigError naming the file."""
+    """Write each table of the stream as it comes, then report.txt, into --out, all or
+    nothing: first into a fresh hidden directory on --out's filesystem, which one rename
+    makes a new --out (or its highest missing parent), or whose files move one by one into
+    an existing --out. A table is a (path under --out, header, columns, comments[, footer
+    comments]) tuple; its columns are checked finite just before its file is opened. A
+    failure removes every file the run added; a failed write is a ConfigError naming the
+    file."""
     existed = out.exists()
     top = out if existed else next(p for p in (out, *out.parents) if p.parent.exists())
     # os.mkdir, unlike tempfile.mkdtemp, gives the directories the umask's mode
@@ -113,7 +117,10 @@ def _write(out: Path, tables, report_text: str | None = None):
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     added = []
     try:
-        write_tables((files / Path(path).name, *rest) for path, *rest in tables)
+        for path, header, columns, *comments in tables:
+            columns = [io.check_finite(path, name, column)
+                       for name, column in zip(header, columns, strict=True)]
+            io.write_csv(files / path.name, header, columns, *comments)
         if report_text is not None:
             (files / "report.txt").write_text(report_text, newline="\n")
         if not existed:
@@ -140,11 +147,11 @@ def cmd_generate(args, config, out):
                                   config.seed)
     path = out / "layout_0.csv"
     stations = layout.stations
-    table = checked_table(path, ["bs_id", "x", "y"],
-                          [np.arange(len(stations)), stations[:, 0], stations[:, 1]],
-                          {"model": layout.model.value, "seed": config.seed, "density": DENSITY,
-                           "width": layout.region.width, "height": layout.region.height,
-                           "digest": config.digest()})
+    table = (path, ["bs_id", "x", "y"],
+             [np.arange(len(stations)), stations[:, 0], stations[:, 1]],
+             {"model": layout.model.value, "seed": config.seed, "density": DENSITY,
+              "width": layout.region.width, "height": layout.region.height,
+              "digest": config.digest()})
     return ([table], None,
             f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
 
@@ -158,44 +165,43 @@ def _cdfs(config, model: str) -> dict:
     return monte_carlo_cdfs(config, _MONTE_CARLO_KINDS[model])
 
 
-def _cdf_tables(config, digest: str, out: Path, model: str, cdfs: dict,
-                **extra_comments) -> list:
-    """One cdf_<model>_eta<eta>.csv table per {eta: cdf} entry: quantiles on a fixed p-grid."""
-    return [checked_table(out / f"cdf_{model}_eta{eta_label(eta)}.csv",
-                          ["sinr_db", "probability"], [cdf.quantile(_CDF_P_GRID), _CDF_P_GRID],
-                          {"digest": digest, "model": model, "eta": eta,
-                           "seed": config.seed, **extra_comments})
-            for eta, cdf in cdfs.items()]
+def _cdf_tables(config, digest: str, out: Path, model: str, cdfs: dict, **extra_comments):
+    """One cdf_<model>_eta<eta>.csv table per {eta: cdf} entry: quantiles on a fixed
+    p-grid, each computed as the stream reaches it."""
+    for eta, cdf in cdfs.items():
+        yield (out / f"cdf_{model}_eta{eta_label(eta)}.csv", ["sinr_db", "probability"],
+               [cdf.quantile(_CDF_P_GRID), _CDF_P_GRID],
+               {"digest": digest, "model": model, "eta": eta, "seed": config.seed,
+                **extra_comments})
 
 
 def cmd_cdf(args, config, out):
     tables = _cdf_tables(config, config.digest(), out, args.model, _cdfs(config, args.model))
-    return tables, None, f"cdf: {len(tables)} {args.model} curves -> {out}"
+    return tables, None, f"cdf: {len(config.eta_list)} {args.model} curves -> {out}"
 
 
 def _fit_shifts(args, config, digest: str, out):
-    """Poisson CDFs, the shift fit, the tables of fit.csv, the Poisson and the
-    fitted-fluid CDFs, and the log line of the fit, shared by fit and report."""
+    """Poisson CDFs, the shift fit, the stream of fit.csv and of the Poisson and the
+    fitted-fluid CDF tables, and the log line of the fit, shared by fit and report.
+    The tables that read the Poisson samples are built now."""
     if len(config.eta_list) < 2:
         raise ConfigError(f"{args.command} needs at least 2 eta values")
     poisson_cdfs = _cdfs(config, "poisson")
     shift_fit = fit_shift_law(config, poisson_cdfs)
     coeff = shift_fit.coefficients
-    tables = [checked_table(out / "fit.csv",
-                            ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
-                            [shift_fit.etas, shift_fit.shifts_db, shift_fit.predicted_db,
-                             shift_fit.residuals_db],
-                            {"digest": digest, "seed": config.seed},
-                            footer_comments={"a": coeff.a, "b": coeff.b,
-                                             "rms": shift_fit.rms_residual_db}),
-              *_cdf_tables(config, digest, out, "poisson", poisson_cdfs),
-              *_cdf_tables(config, digest, out, "fitted",
-                           {eta: FluidCdf(FluidModel(eta), config.exclusion, coeff.shift_db(eta))
-                            for eta in config.eta_list},
-                           a=coeff.a, b=coeff.b)]
+    sampled = [(out / "fit.csv", ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
+                [shift_fit.etas, shift_fit.shifts_db, shift_fit.predicted_db,
+                 shift_fit.residuals_db],
+                {"digest": digest, "seed": config.seed},
+                {"a": coeff.a, "b": coeff.b, "rms": shift_fit.rms_residual_db}),
+               *_cdf_tables(config, digest, out, "poisson", poisson_cdfs)]
+    fitted = _cdf_tables(config, digest, out, "fitted",
+                         {eta: FluidCdf(FluidModel(eta), config.exclusion, coeff.shift_db(eta))
+                          for eta in config.eta_list},
+                         a=coeff.a, b=coeff.b)
     message = (f"{args.command}: a={coeff.a:.4f} b={coeff.b:.4f} "
                f"rms={shift_fit.rms_residual_db:.4f} dB")
-    return poisson_cdfs, shift_fit, tables, message
+    return poisson_cdfs, shift_fit, itertools.chain(sampled, fitted), message
 
 
 def cmd_fit(args, config, out):
@@ -203,38 +209,38 @@ def cmd_fit(args, config, out):
     return tables, None, message
 
 
+def _analytic_report_tables(config, digest: str, out: Path):
+    """report's tables that read no Poisson sample, each computed as the stream reaches
+    it: the fluid and hexagonal CDFs, whose Monte Carlo runs after the Poisson samples
+    are gone, throughput.csv and the fluid_curve files."""
+    etas = config.eta_list
+    yield from _cdf_tables(config, digest, out, "fluid", _cdfs(config, "fluid"))
+    yield from _cdf_tables(config, digest, out, "hex", _cdfs(config, "hex"))
+    yield (out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
+           [etas, *zip(*(throughput_for(config, eta) for eta in etas))], {"digest": digest})
+    for eta in etas:
+        yield (out / f"fluid_curve_eta{eta_label(eta)}.csv",
+               ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"],
+               fluid_curve(FluidModel(eta), config.exclusion, TABLE_ROWS),
+               {"digest": digest, "eta": eta})
+
+
 def cmd_report(args, config, out):
     thresholds = np.array(parse_float_list(args.outage_thresholds))
     digest = config.digest()
     poisson_cdfs, shift_fit, tables, message = _fit_shifts(args, config, digest, out)
-    fluid_cdfs = _cdfs(config, "fluid")
-    tables += _cdf_tables(config, digest, out, "fluid", fluid_cdfs)
-    tables += _cdf_tables(config, digest, out, "hex", _cdfs(config, "hex"))
 
     etas = config.eta_list
     zetas = [correlation_for(config, eta, poisson_cdfs[eta]) for eta in etas]
-    tables.append(checked_table(out / "correlation.csv", ["eta", "zeta"], [etas, zetas],
-                                {"digest": digest}))
-
     outage = [[cdf.evaluate(thresholds)
-               for cdf in (poisson_cdfs[eta], fluid_cdfs[eta],
+               for cdf in (poisson_cdfs[eta], FluidCdf(FluidModel(eta), config.exclusion),
                            FluidCdf(FluidModel(eta), config.exclusion,
                                     CANONICAL_FIT.shift_db(eta)))]
               for eta in etas]
-    tables.append(checked_table(
-        out / "outage.csv", ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
-        [np.repeat(etas, thresholds.size), np.tile(thresholds, len(etas)),
-         *(np.concatenate(column) for column in zip(*outage))], {"digest": digest}))
-
-    tables.append(checked_table(
-        out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
-        [etas, *zip(*(throughput_for(config, eta) for eta in etas))], {"digest": digest}))
-
-    tables += [checked_table(out / f"fluid_curve_eta{eta_label(eta)}.csv",
-                             ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"],
-                             fluid_curve(FluidModel(eta), config.exclusion, TABLE_ROWS),
-                             {"digest": digest, "eta": eta})
-               for eta in etas]
+    sampled = [(out / "correlation.csv", ["eta", "zeta"], [etas, zetas], {"digest": digest}),
+               (out / "outage.csv", ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
+                [np.repeat(etas, thresholds.size), np.tile(thresholds, len(etas)),
+                 *(np.concatenate(column) for column in zip(*outage))], {"digest": digest})]
 
     coeff = shift_fit.coefficients
     lines = ["fluidnet experiment report", f"digest: {digest}", "", "configuration:",
@@ -243,11 +249,13 @@ def cmd_report(args, config, out):
              "", "eta  shift_db  zeta(fitted vs poisson)",
              *(f"  {eta:g}  {shift:.4f}  {zeta:.5f}"
                for eta, shift, zeta in zip(shift_fit.etas, shift_fit.shifts_db, zetas))]
-    return tables, "\n".join(lines) + "\n", f"{message}\nreport: written to {out}"
+    # the Poisson samples go with this frame: the stream reads none of them
+    return (itertools.chain(tables, sampled, _analytic_report_tables(config, digest, out)),
+            "\n".join(lines) + "\n", f"{message}\nreport: written to {out}")
 
 
-# Each command computes from (args, config, out) and returns its tables, the
-# text of report.txt or None, and its log line; main writes, then logs.
+# Each command returns its tables, as a stream that computes each one only when _write
+# reaches it, the text of report.txt or None, and its log line; main writes, then logs.
 _COMMANDS = {"generate": cmd_generate, "cdf": cmd_cdf, "fit": cmd_fit, "report": cmd_report}
 
 

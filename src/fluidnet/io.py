@@ -3,8 +3,8 @@
 All files are plain CSV with `#`-prefixed metadata comment lines before
 the header, LF line endings and full-precision floats, so reruns with
 the same configuration are byte-identical. This module holds only the
-format: each command builds its tables with checked_table, which checks
-a table without writing it, and write_tables writes the checked tables.
+format: the CLI streams each table, as soon as it is computed, through
+check_finite and then write_csv.
 """
 from __future__ import annotations
 
@@ -54,9 +54,9 @@ def write_csv(path, header, columns, comments=None, footer_comments=None):
     Each column becomes Python scalars once (`tolist`), so a float prints
     as `repr(float)` and an integer as `str(int)`, as `fmt` prints them;
     a column equal in dtype and bytes to a recent one reuses its text.
-    The columns are not checked for non-finite numbers; checked_table does
-    that. A ragged table or a header of another length raises ValueError
-    before the file is opened.
+    The columns are not checked for non-finite numbers; the CLI checks each
+    with check_finite first. A ragged table or a header of another length
+    raises ValueError before the file is opened.
     """
     cols = [_column_text(col) for _, col in zip(header, columns, strict=True)]
     lines = [*(f"# {key}={fmt(value)}" for key, value in (comments or {}).items()),
@@ -65,18 +65,3 @@ def write_csv(path, header, columns, comments=None, footer_comments=None):
              *(f"# {key}={fmt(value)}" for key, value in (footer_comments or {}).items())]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def checked_table(path, header, columns, comments=None, footer_comments=None) -> tuple:
-    """The arguments of one write_csv call, every column checked by check_finite
-    now, so that a run fails before it writes any file."""
-    return (path, header,
-            [check_finite(path, name, col) for name, col in zip(header, columns, strict=True)],
-            comments, footer_comments)
-
-
-def write_tables(tables):
-    """Write each checked_table as its own CSV file."""
-    for table in tables:
-        write_csv(*table)
-

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,9 +18,9 @@ from fluidnet import cli
 from fluidnet.cli import main
 from fluidnet.config import (DEFAULT_ETAS, ExperimentConfig, config_from_mapping,
                              load_config_file, parse_float_list)
-from fluidnet.errors import ConfigError
+from fluidnet.errors import ConfigError, DomainError
 from fluidnet.geometry import TorusRegion, torus_distance_matrix
-from fluidnet.placement import generate_hexagonal
+from fluidnet.placement import ModelKind, generate_hexagonal
 from oracles import rc_disk_cdf
 
 
@@ -167,7 +169,18 @@ def read_rows(path):
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
 
 
+def tree(root):
+    """Every path below root, with the bytes of each file (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 class TestCli:
+    @pytest.fixture(autouse=True)
+    def no_staging_directory_left(self, tmp_path):
+        # no run, whether it fails or not, leaves its hidden staging directory behind
+        yield
+        assert not list(tmp_path.rglob(".fluidnet-*"))
+
     def test_generate_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
@@ -317,9 +330,9 @@ class TestCli:
 
     @pytest.mark.parametrize("eta", ["400", "1e308", "3,400"])
     def test_non_finite_fluid_cdf_exits_3(self, tmp_path, eta):
-        # the fluid SINR overflows: the column is refused before --out is created,
-        # also when an earlier eta is fine, with no numpy overflow warning before
-        # the error line
+        # the fluid SINR overflows: the column is refused before its file is opened,
+        # also when an earlier eta's file is already staged, and the failed run
+        # leaves no --out, with no numpy overflow warning before the error line
         out = tmp_path / "o4"
         env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-m", "fluidnet.cli", "cdf", "--model", "fluid",
@@ -347,8 +360,8 @@ class TestCli:
     def test_late_report_failure_leaves_no_out_dir(self, tmp_path, capsys, setting,
                                                    runs_users):
         # a one-sample Poisson CDF has no correlation, and a 1e-300 exclusion radius
-        # overflows the fluid throughput; both fail after the fit, and report
-        # computes every table before it creates --out
+        # overflows the fluid throughput; both fail after the fit, the second after
+        # report has staged its earlier files, and neither leaves an --out
         conf = tmp_path / "exp.conf"
         conf.write_text(setting + "\n")
         out = tmp_path / "out"
@@ -407,6 +420,85 @@ class TestCli:
         assert sorted(tmp_path.rglob("*")) == before
         if existing:
             assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_report_writes_before_its_last_fluid_curve(self, tmp_path, monkeypatch):
+        # each table is written as it is computed, not after the whole report
+        events = []
+
+        def recording(name, real):
+            def call(*args):
+                events.append(name)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(cli, "fluid_curve", recording("curve", cli.fluid_curve))
+        monkeypatch.setattr(fluidnet.io, "write_csv", recording("write", fluidnet.io.write_csv))
+        assert main(["report", "--runs", "1", "--users", "10", "--eta", "2.6,3,3.4",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert events.index("write") < len(events) - 1 - events[::-1].index("curve")
+
+    def test_poisson_samples_are_gone_before_the_hexagonal_run(self, tmp_path, monkeypatch):
+        poisson_runs, alive_at_hex = [], []
+        real = fluidnet.experiment.run_monte_carlo
+
+        def run_monte_carlo(config, model_kind):
+            if model_kind is ModelKind.HEXAGONAL:
+                alive_at_hex.append(poisson_runs[0]() is not None)
+            samples = real(config, model_kind=model_kind)
+            if model_kind is ModelKind.POISSON:
+                poisson_runs.append(weakref.ref(next(iter(samples.values())).base))
+            return samples
+
+        monkeypatch.setattr(fluidnet.experiment, "run_monte_carlo", run_monte_carlo)
+        assert main(["report", "--runs", "2", "--users", "20", "--eta", "2.6,3",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(poisson_runs) == 1 and alive_at_hex == [False]
+
+    def test_report_memory_grows_by_one_poisson_column_per_eta(self, tmp_path):
+        # the traced peak of a report grows with each eta by one kept 512-row float64
+        # column of its Poisson CDF (4 kB) and that table's objects, not by all of its
+        # tables: they are written as they come
+        def traced_peak(n_etas):
+            etas = ",".join(f"{2.05 + 0.05 * i:g}" for i in range(n_etas))
+            tracemalloc.start()
+            try:
+                assert main(["report", "--runs", "1", "--users", "50", "--eta", etas,
+                             "--out", str(tmp_path / str(n_etas))]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(["report", "--runs", "1", "--users", "50", "--eta", "2.6,3",
+                     "--out", str(tmp_path / "warm_up")]) == 0
+        assert (traced_peak(80) - traced_peak(10)) / 70 < 12e3
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_failure_mid_stream_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                     existing, failing):
+        # the fluid curves are report's last tables: when one of them fails, other
+        # files are already staged, and the run still leaves --out as it was (and,
+        # as after every test here, no staging directory)
+        staged, curve = [], cli.fluid_curve
+
+        def failing_curve(*args):
+            staged.append(sum(".fluidnet-" in str(p) for p in tmp_path.rglob("*.csv")))
+            if len(staged) == (1 if failing == "first" else 3):
+                raise DomainError("fluid curve failed")
+            return curve(*args)
+
+        monkeypatch.setattr(cli, "fluid_curve", failing_curve)
+        out = tmp_path / "parent" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept\n")
+            (out / "fit.csv").write_text("old\n")
+        before = tree(tmp_path)
+        assert main(["report", "--runs", "1", "--users", "10", "--eta", "2.6,3,3.4",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: fluid curve failed\n"
+        assert staged[-1] > 0
+        assert tree(tmp_path) == before
 
     def test_fluid_curve_cdf_matches_evaluate(self, tmp_path):
         out = tmp_path / "out"

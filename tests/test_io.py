@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 import fluidnet
-from fluidnet import io
+from fluidnet import cli, io
 from fluidnet.cli import main
 from fluidnet.errors import DomainError
-from fluidnet.io import checked_table, fmt, write_csv, write_tables
+from fluidnet.io import fmt, write_csv
 
 
 def row_writer(path, header, rows, comments=None, footer_comments=None):
@@ -61,18 +62,18 @@ def test_ragged_columns_raise(tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_checked_table_refuses_non_finite_before_writing(tmp_path):
-    path = tmp_path / "t.csv"
-    with pytest.raises(DomainError, match=f"non-finite value in column y of {path}"):
-        checked_table(path, ["x", "y"], [[1.0, 2.0], np.array([0.5, np.inf])])
-    assert not path.exists()
-
-
-def test_write_tables_matches_write_csv(tmp_path):
-    columns = [np.arange(2), np.array([-0.0, 5e-324])]
-    write_tables([checked_table(tmp_path / "a.csv", ["i", "x"], columns, COMMENTS, FOOTER)])
-    write_csv(tmp_path / "b.csv", ["i", "x"], columns, COMMENTS, FOOTER)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+def test_non_finite_table_is_refused_before_its_file_opens(tmp_path, monkeypatch):
+    # the error names the file under --out, not in the staging directory, and the
+    # failed run leaves no file and no directory behind
+    opened = []
+    monkeypatch.setattr(io, "write_csv", lambda path, *args: opened.append(path))
+    out = tmp_path / "out"
+    table = (out / "t.csv", ["x", "y"], [[1.0, 2.0], np.array([0.5, np.inf])], {})
+    message = f"non-finite value in column y of {out / 't.csv'}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        cli._write(out, [table])
+    assert opened == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cached_column_matches_row_writer(tmp_path):
