@@ -8,6 +8,7 @@ directory). Data goes to files, progress to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import shutil
@@ -31,6 +32,8 @@ TABLE_ROWS = 512
 _CDF_P_GRID = np.arange(1, TABLE_ROWS + 1) / (TABLE_ROWS + 1)
 
 DEFAULT_OUTAGE_THRESHOLDS = (-10.0, -5.0, 0.0, 5.0, 10.0)
+# Integer settings that a flag of the same name overrides.
+_INT_FLAGS = ("seed", "runs", "users", "rings")
 
 
 def _log(msg):
@@ -45,12 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_shared(p):
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--eta", help="comma-separated path-loss exponents")
-        p.add_argument("--runs", type=int)
-        p.add_argument("--users", type=int)
-        p.add_argument("--rings", type=int)
+        for key in _INT_FLAGS:
+            p.add_argument(f"--{key}", type=int)
 
     p_gen = sub.add_parser("generate", help="write a station layout CSV")
     add_shared(p_gen)
@@ -75,7 +76,7 @@ def config_from_args(args) -> ExperimentConfig:
     """The config file's settings with the flags' overrides on top, checked once
     as a whole, so that a flag can stand in for a bad value in the file."""
     mapping = load_config_file(args.config) if args.config else {}
-    for key in ("seed", "runs", "users", "rings"):
+    for key in _INT_FLAGS:
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
@@ -84,45 +85,28 @@ def config_from_args(args) -> ExperimentConfig:
     return config_from_mapping(mapping)
 
 
-def _out_dir(args) -> Path:
-    """The --out path, checked before any work: it, or else its nearest
-    existing parent, must be a directory. Nothing is created yet."""
-    out = Path(args.out)
-    try:
-        existing = next(p for p in (out, *out.parents) if p.exists())
-        is_dir = existing.is_dir()
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    if not is_dir:
-        raise ConfigError(f"cannot create output directory {out}: {existing} is not a directory")
-    return out
+@contextlib.contextmanager
+def _staged(out: Path):
+    """Yield a fresh hidden directory on --out's filesystem for the run's files.
 
-
-def _write(out: Path, tables, report_text: str | None = None):
-    """Write each table of the stream as it comes, then report.txt, into --out, all or
-    nothing: first into a fresh hidden directory on --out's filesystem, which one rename
-    makes a new --out (or its highest missing parent), or whose files move one by one into
-    an existing --out. A table is a (path under --out, header, columns, comments[, footer
-    comments]) tuple; its columns are checked finite just before its file is opened. A
-    failure removes every file the run added; a failed write is a ConfigError naming the
-    file."""
-    existed = out.exists()
-    top = out if existed else next(p for p in (out, *out.parents) if p.parent.exists())
-    # os.mkdir, unlike tempfile.mkdtemp, gives the directories the umask's mode
-    staging = (out if existed else top.parent) / f".fluidnet-{os.urandom(6).hex()}"
-    files = staging if existed else staging / out.relative_to(top)
+    Making it is the only check of --out; a failure is a ConfigError naming --out.
+    If the block ends without error, one rename makes the directory a new --out
+    (or its highest missing parent), or its files move one by one into an existing
+    --out. A failed write or move is a ConfigError naming the file under --out and
+    removes every file the run added. The directory goes however the block ends.
+    """
     try:
+        existed = out.exists()
+        top = out if existed else next(p for p in (out, *out.parents) if p.parent.exists())
+        # os.mkdir, unlike tempfile.mkdtemp, gives the directories the umask's mode
+        staging = (out if existed else top.parent) / f".fluidnet-{os.urandom(6).hex()}"
+        files = staging if existed else staging / out.relative_to(top)
         files.mkdir(parents=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
     added = []
     try:
-        for path, header, columns, *comments in tables:
-            columns = [io.check_finite(path, name, column)
-                       for name, column in zip(header, columns, strict=True)]
-            io.write_csv(files / path.name, header, columns, *comments)
-        if report_text is not None:
-            (files / "report.txt").write_text(report_text, newline="\n")
+        yield files
         if not existed:
             staging.rename(top)
             return
@@ -139,21 +123,35 @@ def _write(out: Path, tables, report_text: str | None = None):
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _write(out: Path, files: Path, tables, report_text: str | None = None):
+    """Write each table of the stream into files as it comes, then report.txt.
+
+    A table is a (file name, header, columns, comments[, footer comments]) tuple.
+    Its columns are checked finite just before its file is opened; a DomainError
+    names the file under --out.
+    """
+    for name, header, columns, *comments in tables:
+        columns = [io.check_finite(out / name, column_name, column)
+                   for column_name, column in zip(header, columns, strict=True)]
+        io.write_csv(files / name, header, columns, *comments)
+    if report_text is not None:
+        (files / "report.txt").write_text(report_text, newline="\n")
+
+
 def cmd_generate(args, config, out):
     if args.model == "hex":
         layout = generate_hexagonal(config.rings)
     else:
         layout = generate_poisson(region_for_expected_count(config.expected_stations),
                                   config.seed)
-    path = out / "layout_0.csv"
-    stations = layout.stations
-    table = (path, ["bs_id", "x", "y"],
+    name, stations = "layout_0.csv", layout.stations
+    table = (name, ["bs_id", "x", "y"],
              [np.arange(len(stations)), stations[:, 0], stations[:, 1]],
              {"model": layout.model.value, "seed": config.seed, "density": DENSITY,
               "width": layout.region.width, "height": layout.region.height,
               "digest": config.digest()})
     return ([table], None,
-            f"generate: {layout.n_stations} stations ({layout.model.value}) -> {path}")
+            f"generate: {layout.n_stations} stations ({layout.model.value}) -> {out / name}")
 
 
 _MONTE_CARLO_KINDS = {"poisson": ModelKind.POISSON, "hex": ModelKind.HEXAGONAL}
@@ -165,22 +163,22 @@ def _cdfs(config, model: str) -> dict:
     return monte_carlo_cdfs(config, _MONTE_CARLO_KINDS[model])
 
 
-def _cdf_tables(config, digest: str, out: Path, model: str, cdfs: dict, **extra_comments):
+def _cdf_tables(config, model: str, cdfs: dict, **extra_comments):
     """One cdf_<model>_eta<eta>.csv table per {eta: cdf} entry: quantiles on a fixed
     p-grid, each computed as the stream reaches it."""
     for eta, cdf in cdfs.items():
-        yield (out / f"cdf_{model}_eta{eta_label(eta)}.csv", ["sinr_db", "probability"],
+        yield (f"cdf_{model}_eta{eta_label(eta)}.csv", ["sinr_db", "probability"],
                [cdf.quantile(_CDF_P_GRID), _CDF_P_GRID],
-               {"digest": digest, "model": model, "eta": eta, "seed": config.seed,
+               {"digest": config.digest(), "model": model, "eta": eta, "seed": config.seed,
                 **extra_comments})
 
 
 def cmd_cdf(args, config, out):
-    tables = _cdf_tables(config, config.digest(), out, args.model, _cdfs(config, args.model))
+    tables = _cdf_tables(config, args.model, _cdfs(config, args.model))
     return tables, None, f"cdf: {len(config.eta_list)} {args.model} curves -> {out}"
 
 
-def _fit_shifts(args, config, digest: str, out):
+def _fit_shifts(args, config):
     """Poisson CDFs, the shift fit, the stream of fit.csv and of the Poisson and the
     fitted-fluid CDF tables, and the log line of the fit, shared by fit and report.
     The tables that read the Poisson samples are built now."""
@@ -189,13 +187,13 @@ def _fit_shifts(args, config, digest: str, out):
     poisson_cdfs = _cdfs(config, "poisson")
     shift_fit = fit_shift_law(config, poisson_cdfs)
     coeff = shift_fit.coefficients
-    sampled = [(out / "fit.csv", ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
+    sampled = [("fit.csv", ["eta", "mean_shift_db", "predicted_shift_db", "residual_db"],
                 [shift_fit.etas, shift_fit.shifts_db, shift_fit.predicted_db,
                  shift_fit.residuals_db],
-                {"digest": digest, "seed": config.seed},
+                {"digest": config.digest(), "seed": config.seed},
                 {"a": coeff.a, "b": coeff.b, "rms": shift_fit.rms_residual_db}),
-               *_cdf_tables(config, digest, out, "poisson", poisson_cdfs)]
-    fitted = _cdf_tables(config, digest, out, "fitted",
+               *_cdf_tables(config, "poisson", poisson_cdfs)]
+    fitted = _cdf_tables(config, "fitted",
                          {eta: FluidCdf(FluidModel(eta), config.exclusion, coeff.shift_db(eta))
                           for eta in config.eta_list},
                          a=coeff.a, b=coeff.b)
@@ -205,21 +203,21 @@ def _fit_shifts(args, config, digest: str, out):
 
 
 def cmd_fit(args, config, out):
-    _, _, tables, message = _fit_shifts(args, config, config.digest(), out)
+    _, _, tables, message = _fit_shifts(args, config)
     return tables, None, message
 
 
-def _analytic_report_tables(config, digest: str, out: Path):
+def _analytic_report_tables(config):
     """report's tables that read no Poisson sample, each computed as the stream reaches
     it: the fluid and hexagonal CDFs, whose Monte Carlo runs after the Poisson samples
     are gone, throughput.csv and the fluid_curve files."""
-    etas = config.eta_list
-    yield from _cdf_tables(config, digest, out, "fluid", _cdfs(config, "fluid"))
-    yield from _cdf_tables(config, digest, out, "hex", _cdfs(config, "hex"))
-    yield (out / "throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
+    etas, digest = config.eta_list, config.digest()
+    yield from _cdf_tables(config, "fluid", _cdfs(config, "fluid"))
+    yield from _cdf_tables(config, "hex", _cdfs(config, "hex"))
+    yield ("throughput.csv", ["eta", "cell_edge_bps_hz", "cell_average_bps_hz"],
            [etas, *zip(*(throughput_for(config, eta) for eta in etas))], {"digest": digest})
     for eta in etas:
-        yield (out / f"fluid_curve_eta{eta_label(eta)}.csv",
+        yield (f"fluid_curve_eta{eta_label(eta)}.csv",
                ["r_over_Rc", "sinr_db", "cdf", "spectral_efficiency"],
                fluid_curve(FluidModel(eta), config.exclusion, TABLE_ROWS),
                {"digest": digest, "eta": eta})
@@ -227,18 +225,17 @@ def _analytic_report_tables(config, digest: str, out: Path):
 
 def cmd_report(args, config, out):
     thresholds = np.array(parse_float_list(args.outage_thresholds))
-    digest = config.digest()
-    poisson_cdfs, shift_fit, tables, message = _fit_shifts(args, config, digest, out)
+    poisson_cdfs, shift_fit, tables, message = _fit_shifts(args, config)
 
-    etas = config.eta_list
+    etas, digest = config.eta_list, config.digest()
     zetas = [correlation_for(config, eta, poisson_cdfs[eta]) for eta in etas]
     outage = [[cdf.evaluate(thresholds)
                for cdf in (poisson_cdfs[eta], FluidCdf(FluidModel(eta), config.exclusion),
                            FluidCdf(FluidModel(eta), config.exclusion,
                                     CANONICAL_FIT.shift_db(eta)))]
               for eta in etas]
-    sampled = [(out / "correlation.csv", ["eta", "zeta"], [etas, zetas], {"digest": digest}),
-               (out / "outage.csv", ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
+    sampled = [("correlation.csv", ["eta", "zeta"], [etas, zetas], {"digest": digest}),
+               ("outage.csv", ["eta", "threshold_db", "poisson", "fluid", "fitted_fluid"],
                 [np.repeat(etas, thresholds.size), np.tile(thresholds, len(etas)),
                  *(np.concatenate(column) for column in zip(*outage))], {"digest": digest})]
 
@@ -250,7 +247,7 @@ def cmd_report(args, config, out):
              *(f"  {eta:g}  {shift:.4f}  {zeta:.5f}"
                for eta, shift, zeta in zip(shift_fit.etas, shift_fit.shifts_db, zetas))]
     # the Poisson samples go with this frame: the stream reads none of them
-    return (itertools.chain(tables, sampled, _analytic_report_tables(config, digest, out)),
+    return (itertools.chain(tables, sampled, _analytic_report_tables(config)),
             "\n".join(lines) + "\n", f"{message}\nreport: written to {out}")
 
 
@@ -260,16 +257,16 @@ _COMMANDS = {"generate": cmd_generate, "cdf": cmd_cdf, "fit": cmd_fit, "report":
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # a non-finite result raises DomainError where it is checked; numpy's
         # overflow warning would only precede it
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             config = config_from_args(args)
-            out = _out_dir(args)
-            tables, report_text, message = _COMMANDS[args.command](args, config, out)
-            _write(out, tables, report_text)
+            out = Path(args.out)
+            with _staged(out) as files:
+                tables, report_text, message = _COMMANDS[args.command](args, config, out)
+                _write(out, files, tables, report_text)
     except ConfigError as exc:
         _log(f"error: {exc}")
         return 2

@@ -56,6 +56,8 @@ class ExperimentConfig:
         labels = [eta_label(eta) for eta in self.eta_list]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"eta values must differ in file label, got {','.join(labels)}")
+        text = "\n".join(f"{k}={v!r}" for k, v in self.canonical_items())
+        object.__setattr__(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:12])
 
     def canonical_items(self):
         for f in fields(self):
@@ -65,9 +67,8 @@ class ExperimentConfig:
             yield f.name, v
 
     def digest(self) -> str:
-        """Short content hash identifying this configuration."""
-        text = "\n".join(f"{k}={v!r}" for k, v in self.canonical_items())
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        """Short content hash identifying this configuration, computed when it is built."""
+        return self._digest
 
 
 def eta_label(eta: float) -> str:

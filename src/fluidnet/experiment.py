@@ -1,10 +1,5 @@
-"""Experiment pipelines shared by the CLI and the acceptance suite.
-
-Wires placement, the SINR engine, the fluid analytics and the
-statistics into the per-eta comparison the toolkit is about: simulate
-the Poisson network, evaluate the analytic fluid cell, measure the
-horizontal CDF offset, and fit it as a line in the path-loss exponent.
-"""
+"""Experiment pipelines shared by the CLI and the acceptance suite: the
+per-eta comparison of the Poisson Monte Carlo with the fluid cell."""
 from __future__ import annotations
 
 from .config import ExperimentConfig
@@ -17,11 +12,8 @@ from .stats import (CANONICAL_FIT, EmpiricalCdf, ShiftFit, cdf_curve_correlation
 
 def monte_carlo_cdfs(config: ExperimentConfig,
                      model_kind: ModelKind = ModelKind.POISSON) -> dict:
-    """{eta: EmpiricalCdf} over config.eta_list from one Monte Carlo sweep.
-
-    Each eta's CDF is built inside its row of the sweep's samples array, so
-    the CDFs take no memory beyond the samples.
-    """
+    """{eta: EmpiricalCdf} over config.eta_list from one Monte Carlo sweep,
+    each built inside its row of the sweep's samples."""
     samples = run_monte_carlo(config, model_kind=model_kind)
     return {eta: empirical_cdf(row) for eta, row in samples.items()}
 

@@ -22,8 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError
 from .placement import DENSITY
 
-# Newton steps allowed to invert_sinr_db; eta from 2.05 to 40 and brackets from
-# [1e-6, MEAN_CELL_RADIUS] to [0.5, MEAN_CELL_RADIUS] take at most 15.
+# Newton steps allowed to invert_sinr_db, well above those it takes (CHANGES.md).
 _NEWTON_MAX_ITER = 50
 # Nodes and weights on [-1, 1] of the rule behind average_cell_throughput.
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
@@ -99,13 +98,10 @@ def invert_sinr_db(m: FluidModel, gamma_db, lo: float, hi: float):
 class FluidCdf:
     """Analytic SINR CDF of the fluid cell, optionally shifted in dB.
 
-    A UE is uniform on the annulus exclusion <= r <= MEAN_CELL_RADIUS
-    (~1.05 R_c); with the bare R_c disk the measured fluid-vs-Poisson
-    shifts sit ~0.9 dB above the a*eta + b law.
-
-    Exposes the same evaluate/quantile surface as an empirical CDF so
-    curves from both models can be compared on equal footing. A shift of
-    s dB moves the whole curve left by s (the fitted-fluid correction).
+    A UE is uniform on the annulus exclusion <= r <= MEAN_CELL_RADIUS, the
+    mean-cell disk: the bare R_c disk moves the fluid-vs-Poisson shifts off
+    the a*eta + b law (CHANGES.md). It has the evaluate/quantile surface of an
+    empirical CDF; a shift of s dB moves the whole curve left by s.
     """
 
     def __init__(self, model: FluidModel, exclusion: float, shift_db: float = 0.0):

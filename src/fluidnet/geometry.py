@@ -44,16 +44,9 @@ def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray,
     """Pairwise toroidal distances between point arrays a (n,2) and b (m,2).
 
     Both arrays must hold wrapped coordinates, x in [0, width] and y in
-    [0, height]; points are not reduced modulo the period first.
-    Each distance is sqrt(dx*dx + dy*dy) of the nearest-image axis deltas:
-    within 1 ulp of hypot(dx, dy) at a fraction of its cost, as long as the
-    squares neither overflow nor underflow (deltas between about 1e-150
-    and 1e150).
-    The result is filled in L2-sized row tiles of one block per thread
-    (parallel.map_row_blocks); each tile's axis deltas use two tile-sized
-    buffers, so the result is the only full-size matrix. It is written into
-    out, a float64 array of shape (len(a), len(b)) such as a view of a
-    buffer the caller keeps across calls, and out is returned; by default a
+    [0, height]; points are not reduced modulo the period first. The
+    distances (README "Numerics") are written, in row tiles, into out, a
+    float64 array of shape (len(a), len(b)), which is returned; by default a
     new matrix is allocated.
     """
     d = np.empty((len(a), len(b))) if out is None else out

@@ -1,11 +1,6 @@
-"""CSV output helpers.
-
-All files are plain CSV with `#`-prefixed metadata comment lines before
-the header, LF line endings and full-precision floats, so reruns with
-the same configuration are byte-identical. This module holds only the
-format: the CLI streams each table, as soon as it is computed, through
-check_finite and then write_csv.
-"""
+"""CSV output format: `#`-prefixed metadata comment lines before the header,
+LF line endings and full-precision floats, so reruns with the same
+configuration are byte-identical."""
 from __future__ import annotations
 
 import functools
@@ -32,12 +27,9 @@ def check_finite(path, name, column) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _formatted(dtype: str, data: bytes) -> tuple:
-    """The text of each value of a 1-d column, given by its dtype and raw bytes.
-
-    A column that recurs in file after file (the p-grid of every cdf_*
-    file, the r and cdf columns of every fluid_curve_* file) is formatted
-    once while it stays among the last four distinct columns written.
-    """
+    """The text of each value of a 1-d column, given by its dtype and raw bytes:
+    a column that recurs in file after file, such as the p-grid of every cdf_*
+    file, is formatted once while it stays among the last four written."""
     return tuple(map(repr, np.frombuffer(data, dtype).tolist()))
 
 
@@ -49,14 +41,10 @@ def _column_text(column):
 
 
 def write_csv(path, header, columns, comments=None, footer_comments=None):
-    """One CSV file from equal-length, single-dtype columns.
-
-    Each column becomes Python scalars once (`tolist`), so a float prints
-    as `repr(float)` and an integer as `str(int)`, as `fmt` prints them;
-    a column equal in dtype and bytes to a recent one reuses its text.
-    The columns are not checked for non-finite numbers; the CLI checks each
-    with check_finite first. A ragged table or a header of another length
-    raises ValueError before the file is opened.
+    """One CSV file from equal-length, single-dtype columns, each value printed
+    as `fmt` prints it. The columns are not checked for non-finite numbers
+    (see check_finite). A ragged table or a header of another length raises
+    ValueError before the file is opened.
     """
     cols = [_column_text(col) for _, col in zip(header, columns, strict=True)]
     lines = [*(f"# {key}={fmt(value)}" for key, value in (comments or {}).items()),

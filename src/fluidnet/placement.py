@@ -22,10 +22,8 @@ SQRT3 = math.sqrt(3.0)
 # one station per hexagonal cell of area 2*sqrt(3).
 DENSITY = SQRT3 / 6.0
 
-# Poisson draws with fewer than 2 stations are redrawn at most this often.
-# A draw takes a few microseconds, so giving up costs about 0.1 s; it
-# happens by chance (p < 1e-9) only when a draw keeps 2 or more stations
-# with probability under about 1e-3, i.e. a mean under 0.05 stations.
+# Poisson draws with fewer than 2 stations are redrawn at most this often:
+# giving up is quick, and by chance unlikely for any useful mean (CHANGES.md).
 MAX_POISSON_REDRAWS = 20_000
 
 
@@ -74,8 +72,8 @@ def generate_hexagonal(rings: int) -> NetworkLayout:
     cols = 2 * rings + 1
     rows = 2 * rings + 2  # even row count keeps the offset pattern wrap-compatible
     region = TorusRegion(cols * 2.0, rows * SQRT3)
-    stations = np.array([((1.0 if j % 2 else 0.0) + i * 2.0, j * SQRT3)
-                         for j in range(rows) for i in range(cols)])
+    j, i = np.divmod(np.arange(rows * cols), cols)  # row-major: row j, column i
+    stations = np.stack([(j % 2) + i * 2.0, j * SQRT3], axis=1)
     return NetworkLayout(region=region, stations=stations, model=ModelKind.HEXAGONAL)
 
 

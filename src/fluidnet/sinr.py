@@ -2,26 +2,8 @@
 
 The SINR is interference-limited, like the fluid closed form: the path
 gain r^-eta of a user's best (nearest) server divided by the summed gains
-of every other station, r_best^-eta / sum_{j != best} r_j^-eta.
-
-Each layout's distances are turned into log r once; the gain for each eta
-is then exp(-eta * log r), within about 3e-14 relative of r**-eta at
-eta 40 and 5e-15 at eta 6, for a fraction of pow's cost. When the eta list
-is evenly stepped (3 or more values, each within 1e-12 of
-eta_0 + k * step), each pair pays two exps whatever the list's length:
-the first eta's gain and the factor exp(-step * log r), by which the gain
-of eta_(k-1) is multiplied to give that of eta_k. Each factor carries exp's
-error (an ulp) and each multiply half an ulp, so for a rising list a gain
-is within about 3k * eps/2 relative of its direct exp beyond the exp's own
-error (a falling list adds 2k * |step * log r| * eps/2), plus
-|eta_0 + k * step - eta_k| * |log r| for the list's own rounding, a few ulp
-of eta for decimal lists. Every other list keeps one exp per eta, and its
-outputs are unchanged. The interference is the row sum of all gains minus the
-serving gain. That difference rounds onto the grid of ulp(serving gain), a
-relative error of about eps * (1 + SINR). Ulp-level changes of the gains
-leave that rounding as it is; summing the interferers alone would not, and
-would move the recorded benchmark outputs (the hexagonal CDFs at high eta)
-past their limits.
+of every other station, r_best^-eta / sum_{j != best} r_j^-eta. README
+"Numerics" gives the error of each step.
 """
 from __future__ import annotations
 
@@ -65,15 +47,12 @@ def _clamp_to_exclusion(region: TorusRegion, stations: np.ndarray, ue: np.ndarra
                         d: np.ndarray, exclusion_radius: float):
     """Reposition UEs closer than the exclusion radius to their best server.
 
-    Returns d and each row's best (nearest) server, from the layout's one
-    argmin pass, updated for every row re-measured. Offenders are pushed
-    radially (away from the server, along the nearest-image direction) to
-    the exclusion radius and the rows of those that moved are recomputed. A
-    row that does not move keeps its distances, so after the first pass only
-    the rows just recomputed are scanned again. Rounding can leave a pushed
-    UE a few ulp inside the radius, where the next push puts it back in place
-    and every later push would too: such a UE is left there, and once a pass
-    moves no UE the clamp stops.
+    Returns d and each row's best (nearest) server, updated for every row
+    re-measured. Offenders are pushed radially (along the nearest-image
+    direction) to the exclusion radius, and only the rows of those that moved
+    are recomputed and scanned again. Rounding can leave a pushed UE a few ulp
+    inside the radius, where every later push would put it back in place:
+    such a UE is left there, and once a pass moves no UE the clamp stops.
     """
     period = np.array([region.width, region.height])
     best = np.argmin(d, axis=1)
@@ -116,24 +95,15 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float], users: UserSet, *,
                distances: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Linear SINR of shape (len(etas), users), with exclusion-radius clamping.
 
-    Distances, the clamp and log r depend only on the layout, so they are
-    computed once for all path-loss exponents; each eta then costs one
-    multiply, one exp and the row sums. For an evenly stepped eta list each
-    eta after the first costs one multiply by the tile's exp(-step * log r)
-    in place of the multiply and exp (see the module docstring for the
-    error). The reduction runs in L2-sized row tiles of one block per thread
-    (parallel.map_row_blocks): each tile's distances are overwritten by their
-    logarithm, then every eta's gains go through one tile-sized buffer, so
-    there is no full-size gains matrix. Each row's best server comes from
-    the clamp, turned into flat indices once per layout. For each eta a tile
-    takes its serving gains into its slice of out, subtracts them from its
-    row sums and divides in place, so out holds the SINR, which is returned.
-
-    Both buffers let a caller keep them across layouts, and each defaults
-    to a new array: distances is a 1-D float64 array of at least users x
-    stations elements, whose leading users x stations view receives the
-    distance matrix; out is a float64 array of shape (len(etas), users),
-    such as a slice of the caller's samples.
+    Distances, the clamp and log r are computed once for all etas, and the
+    gains in row tiles (README "Numerics"). The interference is the row sum
+    minus the serving gain, whose rounding the recorded benchmark outputs
+    hold; summing the interferers alone would move them. Each keyword buffer
+    defaults to a new array: distances is a 1-D float64 array of at least
+    users x stations elements, whose leading view receives the distance
+    matrix; out, a float64 array of shape (len(etas), users) such as a slice
+    of the caller's samples, receives the SINR and is returned. DomainError
+    for an eta <= 2 or a layout of fewer than 2 stations.
     """
     if not all(eta > 2 for eta in etas):
         raise DomainError("path loss exponent must exceed 2")
@@ -182,16 +152,10 @@ def run_monte_carlo(config: ExperimentConfig, *,
                     model_kind: ModelKind = ModelKind.POISSON) -> dict:
     """Monte Carlo SINR experiment for every path-loss exponent in config.eta_list.
 
-    The UE set is drawn once. The Poisson model draws each of config.runs
-    station layouts from a derived sub-seed as its run starts; the hexagonal
-    reference layout is deterministic, so it is drawn and measured once.
-    Each layout is measured once for all eta values, and sinr_field writes
-    its SINR straight into the layout's columns of one (len(etas),
-    runs x users) samples array. The run keeps one distance buffer, replaced
-    only when a layout has more stations than every one before it, so a
-    layout allocates no matrix of its own. Returns {eta: linear SINR
-    samples}, pooled in run-major order; each value is a row of that
-    samples array.
+    Returns {eta: linear SINR samples}, each a row of one (len(etas), runs x
+    users) array in run-major order. The UE set is drawn once; the Poisson
+    model draws each of config.runs layouts from a derived sub-seed as its
+    run starts, and the deterministic hexagonal layout is measured once.
     Raises DomainError when a layout yields a non-finite SINR.
     """
     etas = config.eta_list

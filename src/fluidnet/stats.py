@@ -4,10 +4,6 @@ The comparison between the simulated Poisson network and the analytic
 fluid curve happens here: the mean horizontal (dB) offset between the
 two CDFs is measured on a quantile grid for each path-loss exponent,
 and a degree-1 polynomial in eta is fitted to those offsets.
-
-empirical_cdf builds each Monte Carlo CDF inside the sample array it is
-given (dB conversion and sort in place), so a CDF costs no sample-sized
-copy; EmpiricalCdf(values) sorts a copy and leaves values as they were.
 """
 from __future__ import annotations
 
@@ -83,12 +79,8 @@ class EmpiricalCdf:
         return np.searchsorted(self.sorted_values_db, x, side="right") / self.n
 
     def quantile(self, p):
-        """Linear interpolation of order statistics at position p*(n-1).
-
-        numpy's "linear" quantile method written out on the sorted sample,
-        with the same two-sided lerp, so it is bit-identical to np.quantile
-        without np.quantile's partition of a copy.
-        """
+        """Linear interpolation of order statistics at position p*(n-1):
+        bit-identical to np.quantile's "linear" method, without its copy."""
         parr = np.asarray(p, dtype=float)
         if not np.all((parr > 0) & (parr < 1)):
             raise DomainError("p must lie in (0, 1)")

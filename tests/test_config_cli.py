@@ -293,13 +293,51 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert afile.read_text() == "keep\n"
 
-    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
-    def test_out_file_refused_before_simulating(self, tmp_path, monkeypatch, sub):
-        # the directory is made only after the Monte Carlo, but a bad --out fails first
+    @pytest.mark.parametrize("argv, sub", [
+        (["cdf", "--model", "hex"], ""), (["cdf", "--model", "hex"], "sub"),
+        (["fit"], ""), (["fit"], "sub"), (["report"], ""), (["report"], "sub"),
+    ], ids=["file", "below_file", "fit_file", "fit_below_file", "report_file",
+            "report_below_file"])
+    def test_out_file_refused_before_simulating(self, tmp_path, monkeypatch, capsys, argv,
+                                                sub):
+        # the staging directory is made before the Monte Carlo, so a bad --out fails first
         monkeypatch.setattr("fluidnet.cli._cdfs", lambda *a: pytest.fail("simulated"))
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
-        assert main(["cdf", "--model", "hex", "--out", str(afile / sub)]) == 2
+        assert main([*argv, "--out", str(afile / sub)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot create output directory {afile / sub}: Not a directory\n"
+        assert afile.read_text() == "keep\n"
+
+    def test_unwritable_out_refused_before_simulating(self, tmp_path, monkeypatch, capsys):
+        # an existing --out that cannot hold the staging directory fails before any
+        # Monte Carlo, with one line that names --out and not the staging directory
+        def refused(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        before = tree(tmp_path)
+        monkeypatch.setattr("fluidnet.cli._cdfs", lambda *a: pytest.fail("simulated"))
+        monkeypatch.setattr(Path, "mkdir", refused)
+        assert main(["fit", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot create output directory {out}: Permission denied\n"
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["generate", "cdf"])
+    def test_huge_rings_exits_3_at_once(self, tmp_path, command):
+        # numpy refuses the lattice's 284 PiB index array before touching memory: one
+        # error line, no traceback and no --out, instead of a station-by-station hang
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-m", "fluidnet.cli", command, "--model", "hex",
+                                 "--rings", "100000000", "--out", str(out)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_tiny_expected_stations_exits_3(self, tmp_path):
         # no layout reaches 2 stations: the bounded redraw gives up instead of hanging

@@ -68,10 +68,11 @@ def test_non_finite_table_is_refused_before_its_file_opens(tmp_path, monkeypatch
     opened = []
     monkeypatch.setattr(io, "write_csv", lambda path, *args: opened.append(path))
     out = tmp_path / "out"
-    table = (out / "t.csv", ["x", "y"], [[1.0, 2.0], np.array([0.5, np.inf])], {})
+    table = ("t.csv", ["x", "y"], [[1.0, 2.0], np.array([0.5, np.inf])], {})
     message = f"non-finite value in column y of {out / 't.csv'}"
     with pytest.raises(DomainError, match=re.escape(message)):
-        cli._write(out, [table])
+        with cli._staged(out) as files:
+            cli._write(out, files, [table])
     assert opened == []
     assert list(tmp_path.iterdir()) == []
 

@@ -40,6 +40,15 @@ class TestHexagonal:
             assert at_spacing == 6
             assert d[i].min() >= 2.0 - 1e-9
 
+    @pytest.mark.parametrize("rings", [1, 2, 3, 7])
+    def test_stations_row_by_row(self, rings):
+        # row j of the lattice is shifted by 1 when j is odd; rows come one after another
+        cols, rows = 2 * rings + 1, 2 * rings + 2
+        expected = [((1.0 if j % 2 else 0.0) + i * 2.0, j * SQRT3)
+                    for j in range(rows) for i in range(cols)]
+        stations = generate_hexagonal(rings).stations
+        assert stations.dtype == np.float64 and stations.tolist() == [list(p) for p in expected]
+
     def test_filled_lattice_density_consistent(self):
         layout = generate_hexagonal(2)
         assert layout.n_stations / layout.region.area() == pytest.approx(DENSITY, rel=1e-12)
