@@ -1,9 +1,17 @@
 """Experiment configuration: defaults, file parsing, digest."""
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
+
+# the interpreter's own SHA-256: hashlib loads OpenSSL (through _hashlib)
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError, DomainError
 from .placement import region_for_expected_count
@@ -57,7 +65,7 @@ class ExperimentConfig:
         if len(set(labels)) < len(labels):
             raise ConfigError(f"eta values must differ in file label, got {','.join(labels)}")
         text = "\n".join(f"{k}={v!r}" for k, v in self.canonical_items())
-        object.__setattr__(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:12])
+        object.__setattr__(self, "_digest", sha256(text.encode()).hexdigest()[:12])
 
     def canonical_items(self):
         for f in fields(self):

@@ -13,19 +13,17 @@ rho_BS = placement.DENSITY.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
 from .placement import DENSITY
 
 # Newton steps allowed to invert_sinr_db, well above those it takes (CHANGES.md).
 _NEWTON_MAX_ITER = 50
-# Nodes and weights on [-1, 1] of the rule behind average_cell_throughput.
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(64)
 # Radius of the disk whose area equals the mean cell area 1/DENSITY,
 # sqrt(2*sqrt(3)/pi) ~ 1.05; spreading UEs over this disk mirrors a user
 # population uniform over the whole network area.
@@ -162,6 +160,15 @@ def cell_edge_throughput(m: FluidModel) -> float:
     return spectral_efficiency(fluid_sinr(m, 1.0))
 
 
+@functools.cache
+def _gauss_rule() -> tuple:
+    """Nodes and weights on [-1, 1] of the rule behind average_cell_throughput,
+    built on first use: only that table loads numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(64)
+
+
 def average_cell_throughput(m: FluidModel, exclusion: float) -> float:
     """Area-average spectral efficiency over the annulus exclusion <= r <= 1.
 
@@ -172,6 +179,7 @@ def average_cell_throughput(m: FluidModel, exclusion: float) -> float:
         raise DomainError("exclusion must lie in (0, 1)")
     u_lo = math.log(exclusion)
     half = -0.5 * u_lo
-    r = np.exp(u_lo + half * (_GAUSS_NODES + 1.0))
+    nodes, weights = _gauss_rule()
+    r = np.exp(u_lo + half * (nodes + 1.0))
     integrand = np.log2(1.0 + fluid_sinr(m, r)) * 2.0 * r**2 / (1 - exclusion**2)
-    return float(half * np.dot(_GAUSS_WEIGHTS, integrand))
+    return float(half * np.dot(weights, integrand))

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import filecmp
+import hashlib
 import os
 import re
 import subprocess
@@ -554,6 +555,36 @@ class TestCli:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, check=True)
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["report", "--runs", "1", "--users", "20", "--eta", "3,4"], ["numpy.polynomial"]),
+        (["fit", "--runs", "2", "--users", "20", "--eta", "3,4"], []),
+        (["cdf", "--model", "poisson", "--runs", "1", "--users", "20", "--eta", "3"], []),
+        (["cdf", "--model", "hex", "--users", "20", "--eta", "3"], []),
+        (["cdf", "--model", "fluid", "--eta", "3"], []),
+        (["generate", "--model", "poisson"], []),
+        (["generate", "--model", "hex"], []),
+    ])
+    def test_runs_load_neither_numpy_random_nor_openssl(self, tmp_path, argv, loaded):
+        # numpy.random loads OpenSSL through secrets and hmac, and hashlib through
+        # _hashlib; only the throughput table needs numpy.polynomial
+        code = ("import sys\nfrom fluidnet.cli import main\n"
+                f"assert main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
+                "print(sorted(m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib',\n"
+                "                         'numpy.polynomial') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.splitlines()[-1] == str(loaded)
+
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(),
+        ExperimentConfig(seed=7, eta_list=(2.5, 3.5), users=30),
+        ExperimentConfig(expected_stations=200.0, runs=3, exclusion=0.2, rings=2),
+    ])
+    def test_digest_is_hashlib_sha256(self, config):
+        text = "\n".join(f"{k}={v!r}" for k, v in config.canonical_items())
+        assert config.digest() == hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def test_cli_import_and_one_row_start_no_thread_pool(self):
         # set-up pays for no threads; a fit-sized layout splits its distances and its
