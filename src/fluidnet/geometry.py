@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .parallel import map_row_blocks
+from .parallel import row_tiles, tile_rows
 
 
 @dataclass(frozen=True)
@@ -40,27 +40,29 @@ def _wrapped_axis_delta(a, b, period, out, scratch):
 
 
 def torus_distance_matrix(region: TorusRegion, a: np.ndarray, b: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+                          out: np.ndarray | None = None,
+                          scratch: np.ndarray | None = None) -> np.ndarray:
     """Pairwise toroidal distances between point arrays a (n,2) and b (m,2).
 
     Both arrays must hold wrapped coordinates, x in [0, width] and y in
     [0, height]; points are not reduced modulo the period first. The
     distances (README "Numerics") are written, in row tiles, into out, a
-    float64 array of shape (len(a), len(b)), which is returned; by default a
-    new matrix is allocated.
+    float64 array of shape (len(a), len(b)), which is returned. Each tile
+    works in two tile-sized views of scratch, a 1-D float64 array of at
+    least 2 * tile_rows(len(a), len(b)) * len(b) elements that is
+    overwritten. Each defaults to a new array.
     """
     d = np.empty((len(a), len(b))) if out is None else out
-
-    def fill(rows):
+    if scratch is None:
+        scratch = np.empty(2 * tile_rows(len(a), len(b)) * len(b))
+    for rows in row_tiles(len(a), len(b)):
         x = d[rows]
-        y, scratch = np.empty_like(x), np.empty_like(x)
-        _wrapped_axis_delta(a[rows, 0:1], b[None, :, 0], region.width, x, scratch)
-        _wrapped_axis_delta(a[rows, 1:2], b[None, :, 1], region.height, y, scratch)
+        y, s = scratch[:2 * x.size].reshape(2, *x.shape)
+        _wrapped_axis_delta(a[rows, 0:1], b[None, :, 0], region.width, x, s)
+        _wrapped_axis_delta(a[rows, 1:2], b[None, :, 1], region.height, y, s)
         np.multiply(x, x, out=x)
         x += np.multiply(y, y, out=y)
         np.sqrt(x, out=x)
-
-    map_row_blocks(fill, len(a), len(b))
     return d
 
 

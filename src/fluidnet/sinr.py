@@ -7,15 +7,17 @@ of every other station, r_best^-eta / sum_{j != best} r_j^-eta. README
 """
 from __future__ import annotations
 
+import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .config import ExperimentConfig
 from .errors import DomainError
 from .geometry import TorusRegion, torus_distance_matrix, wrapped_displacement
-from .parallel import map_row_blocks
+from .parallel import row_tiles, tile_rows
 from .placement import (ModelKind, NetworkLayout, generate_hexagonal,
                         generate_poisson, region_for_expected_count)
 from .rng import child_seed, generator
@@ -92,31 +94,33 @@ def _progression_step(etas: Sequence[float]):
 
 
 def sinr_field(layout: NetworkLayout, etas: Sequence[float], users: UserSet, *,
-               distances: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+               scratch: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Linear SINR of shape (len(etas), users), with exclusion-radius clamping.
 
-    Distances, the clamp and log r are computed once for all etas, and the
-    gains in row tiles (README "Numerics"). The interference is the row sum
-    minus the serving gain, whose rounding the recorded benchmark outputs
-    hold; summing the interferers alone would move them. Each keyword buffer
-    defaults to a new array: distances is a 1-D float64 array of at least
-    users x stations elements, whose leading view receives the distance
-    matrix; out, a float64 array of shape (len(etas), users) such as a slice
-    of the caller's samples, receives the SINR and is returned. DomainError
-    for an eta <= 2 or a layout of fewer than 2 stations.
+    One pass per row tile (README "Numerics") measures the tile's distances,
+    clamps its users, takes log r once for all etas, and for each eta
+    computes the gains and divides the serving gain by the row sum minus
+    it, whose rounding the recorded benchmark outputs hold; summing the
+    interferers alone would move them. Each keyword buffer defaults to a new
+    array: scratch, a 1-D float64 array of at least 3 * tile_rows(users,
+    stations) * stations elements, holds the tile's distances, gains and
+    distance scratch (a smaller one is replaced); out, a float64 array of
+    shape (len(etas), users) such as a slice of the caller's samples,
+    receives the SINR and is returned. DomainError for an eta <= 2 or a
+    layout of fewer than 2 stations.
     """
     if not all(eta > 2 for eta in etas):
         raise DomainError("path loss exponent must exceed 2")
     if layout.n_stations < 2:
         raise DomainError("SINR needs at least 2 stations")
+    region, stations = layout.region, layout.stations
     ue = users.points.astype(float)
     n_rows, n_cols = len(ue), layout.n_stations
     if out is None:
         out = np.empty((len(etas), n_rows))
-    d = None if distances is None else distances[:n_rows * n_cols].reshape(n_rows, n_cols)
-    d = torus_distance_matrix(layout.region, ue, layout.stations, out=d)
-    d, best = _clamp_to_exclusion(layout.region, layout.stations, ue, d, users.exclusion_radius)
-    best += np.arange(n_rows) * n_cols  # flat index of each row's best server in d
+    tile = tile_rows(n_rows, n_cols) * n_cols
+    if scratch is None or scratch.size < 3 * tile:
+        scratch = np.empty(3 * tile)
     step = _progression_step(etas)
 
     def tile_gains(log_d, g):
@@ -131,20 +135,25 @@ def sinr_field(layout: NetworkLayout, etas: Sequence[float], users: UserSet, *,
         for _ in etas[1:]:
             yield np.multiply(g, factor, out=g)
 
-    def reduce_rows(rows):
-        tile_best = best[rows] - rows.start * n_cols  # flat index within the tile
-        log_d = np.log(d[rows], out=d[rows])
-        interference = np.empty(len(tile_best))
-        for g, serving in zip(tile_gains(log_d, np.empty_like(log_d)), out[:, rows]):
-            np.take(g, tile_best, out=serving, mode="clip")  # "raise" would buffer out
-            np.add.reduce(g, axis=1, out=interference)  # what g.sum(axis=1) computes
-            interference -= serving
-            np.divide(serving, interference, out=serving)
-
     # a zero interference or an overflow gives a non-finite SINR, for which
     # run_monte_carlo raises DomainError; numpy's warning would only precede it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        map_row_blocks(reduce_rows, n_rows, n_cols)
+        for rows in row_tiles(n_rows, n_cols):
+            size = (rows.stop - rows.start) * n_cols
+            d = torus_distance_matrix(region, ue[rows], stations, scratch=scratch[tile:],
+                                      out=scratch[:size].reshape(-1, n_cols))
+            # the clamp re-measures only its own offenders' rows, so a tile's
+            # clamp is the whole matrix's clamp of those rows
+            d, best = _clamp_to_exclusion(region, stations, ue[rows], d, users.exclusion_radius)
+            best += np.arange(len(best)) * n_cols  # flat index of each row's best server
+            log_d = np.log(d, out=d)
+            g = scratch[tile:tile + size].reshape(d.shape)
+            interference = np.empty(len(best))
+            for gains, serving in zip(tile_gains(log_d, g), out[:, rows]):
+                np.take(gains, best, out=serving, mode="clip")  # "raise" would buffer out
+                np.add.reduce(gains, axis=1, out=interference)  # what gains.sum(axis=1) computes
+                interference -= serving
+                np.divide(serving, interference, out=serving)
     return out
 
 
@@ -156,6 +165,7 @@ def run_monte_carlo(config: ExperimentConfig, *,
     users) array in run-major order. The UE set is drawn once; the Poisson
     model draws each of config.runs layouts from a derived sub-seed as its
     run starts, and the deterministic hexagonal layout is measured once.
+    Every layout's sinr_field works in the run's one scratch of 3 row tiles.
     Raises DomainError when a layout yields a non-finite SINR.
     """
     etas = config.eta_list
@@ -171,12 +181,12 @@ def run_monte_carlo(config: ExperimentConfig, *,
 
     n = config.users
     samples = np.empty((len(etas), runs * n))
-    distances = np.empty(0)
+    # a mapping of its own, unmapped when the run ends: from malloc it would land on
+    # the heap once an earlier run's freed scratch has raised glibc's mmap
+    # threshold, and stay resident there (timings in CHANGES.md)
+    scratch = np.frombuffer(mmap.mmap(-1, 3 * parallel.TILE_ELEMENTS * 8))
     for k, layout in enumerate(layouts, 1):
-        if n * layout.n_stations > distances.size:
-            distances = None  # freed first, which also keeps each tile's scratch on the heap
-            distances = np.empty(n * layout.n_stations)
-        field = sinr_field(layout, etas, users, distances=distances,
+        field = sinr_field(layout, etas, users, scratch=scratch,
                            out=samples[:, (k - 1) * n:k * n])
         finite = np.isfinite(field).all(axis=1)
         if not finite.all():

@@ -1,6 +1,5 @@
 import pytest
 
-from fluidnet import parallel
 from fluidnet.config import DEFAULT_ETAS, ExperimentConfig
 from fluidnet.experiment import monte_carlo_cdfs
 
@@ -15,8 +14,3 @@ def poisson_cdfs(full_config):
     # one Monte Carlo sweep over every eta, shared across the acceptance criteria
     return monte_carlo_cdfs(full_config)
 
-
-@pytest.fixture
-def worker_count(monkeypatch):
-    """Setter for the row-block worker count."""
-    return lambda n: monkeypatch.setattr(parallel, "WORKERS", n)

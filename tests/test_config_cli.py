@@ -587,19 +587,18 @@ class TestCli:
         assert config.digest() == hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def test_cli_import_and_one_row_start_no_thread_pool(self):
-        # set-up pays for no threads; a fit-sized layout splits its distances and its
-        # reduction, each starting one thread for the call alone, and none stays
+        # set-up pays for no threads, and a fit-sized layout goes in row tiles on the
+        # calling thread, starting none
         code = ("import sys, threading, fluidnet.cli\n"
                 "import numpy as np\n"
                 "from fluidnet import (ModelKind, NetworkLayout, TorusRegion, UserSet,\n"
-                "                      generate_hexagonal, parallel, sinr_field)\n"
+                "                      generate_hexagonal, sinr_field)\n"
                 "imported = 'concurrent.futures' in sys.modules\n"
                 "users = UserSet(np.array([[0.1, 0.2]]), 0.0)\n"
                 "sinr_field(generate_hexagonal(2), [3.0], users)\n"
                 "one_row = 'concurrent.futures' in sys.modules\n"
                 "start, started = threading.Thread.start, []\n"
                 "threading.Thread.start = lambda thread: (started.append(thread), start(thread))\n"
-                "parallel.WORKERS = 2\n"
                 "rng = np.random.default_rng(5)\n"
                 "fit_sized = NetworkLayout(TorusRegion(10.0, 10.0), rng.random((200, 2)) * 10.0,\n"
                 "                          ModelKind.POISSON)\n"
@@ -609,7 +608,7 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, check=True)
-        assert result.stdout.strip() == "False False 2 False 1"
+        assert result.stdout.strip() == "False False 0 False 1"
 
     def test_fit_outputs(self, tmp_path):
         assert main(["fit", "--eta", "2.8,3.6", "--runs", "5", "--users", "200",

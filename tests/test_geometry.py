@@ -49,24 +49,25 @@ def test_matches_explicit_image_enumeration():
     assert np.max(np.abs(torus_distance_matrix(region, a, b) - expected)) <= 1e-12
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_out_receives_the_matrix(worker_count, monkeypatch, workers):
-    # a caller's buffer: the leading part of a larger 1-D array, filled in ragged
-    # tiles by one or two threads with the distances a fresh call returns
+@pytest.mark.parametrize("rows", [1, 2])
+def test_out_receives_the_matrix(monkeypatch, rows):
+    # a caller's buffer: the leading part of a larger 1-D array, filled in tiles of
+    # 1 or 2 rows (the last a ragged one) with the distances a fresh call returns;
+    # the caller's scratch, of two tiles, takes each tile's axis deltas
     rng = np.random.default_rng(13)
     region = TorusRegion(2.5, 1.3)
     a = rng.random((301, 2)) * [region.width, region.height]
     b = rng.random((7, 2)) * [region.width, region.height]
     fresh = torus_distance_matrix(region, a, b)
-    monkeypatch.setattr(parallel, "TILE_ELEMENTS", 5 * 7 + 3)
-    monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 100 * 7)
-    worker_count(workers)
+    monkeypatch.setattr(parallel, "TILE_ELEMENTS", rows * 7 + 3)
     buffer = np.full(301 * 7 + 50, np.nan)
+    scratch = np.full(2 * rows * 7 + 5, np.nan)
     view = buffer[:301 * 7].reshape(301, 7)
-    d = torus_distance_matrix(region, a, b, out=view)
+    d = torus_distance_matrix(region, a, b, out=view, scratch=scratch)
     assert d is view and d.base is buffer
     assert np.array_equal(d, fresh)
     assert np.isnan(buffer[301 * 7:]).all()  # the rest of the buffer is left alone
+    assert not np.isnan(scratch[:2 * rows * 7]).any() and np.isnan(scratch[2 * rows * 7:]).all()
 
 
 def test_distance_symmetric_and_bounded():
@@ -129,36 +130,20 @@ def test_distance_matrix_bit_identical_to_modulo_form():
     assert np.array_equal(torus_distance_matrix(region, pts, pts), expected)
 
 
-def test_distance_matrix_independent_of_worker_count(worker_count, monkeypatch):
-    # an odd row count gives blocks of unequal size; every one matches the `%` form
+def test_distance_matrix_independent_of_tile_size(monkeypatch):
+    # ragged tiles of 5 rows give the one-tile matrix, and so the `%` form
     region = TorusRegion(2.7, 1.3)
-    rng = np.random.default_rng(43)
+    rng = np.random.default_rng(47)
     w, h = region.width, region.height
     a = rng.random((1001, 2)) * [w, h]
     b = rng.random((37, 2)) * [w, h]
     expected = root_sum_of_squares(axis_delta(a[:, 0:1], b[None, :, 0], w),
                                    axis_delta(a[:, 1:2], b[None, :, 1], h))
-    monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * len(b))  # blocks of 256 rows or more
-    assert len(a) * len(b) // parallel.MIN_BLOCK_PAIRS >= 3  # three workers make three blocks
-    for workers in (1, 2, 3):
-        worker_count(workers)
-        assert np.array_equal(torus_distance_matrix(region, a, b), expected)
-
-
-def test_distance_matrix_independent_of_tile_size(worker_count, monkeypatch):
-    # ragged tiles of 5 rows inside blocks of 1001, 500/501 and 333/334/334 rows
-    region = TorusRegion(2.7, 1.3)
-    rng = np.random.default_rng(47)
-    a = rng.random((1001, 2)) * [region.width, region.height]
-    b = rng.random((37, 2)) * [region.width, region.height]
-    worker_count(1)
-    monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * len(b))  # blocks of 256 rows or more
     monkeypatch.setattr(parallel, "TILE_ELEMENTS", a.size * b.size)
     untiled = torus_distance_matrix(region, a, b)
+    assert np.array_equal(untiled, expected)
     monkeypatch.setattr(parallel, "TILE_ELEMENTS", 5 * len(b) + 3)
-    for workers in (1, 2, 3):
-        worker_count(workers)
-        assert np.array_equal(torus_distance_matrix(region, a, b), untiled)
+    assert np.array_equal(torus_distance_matrix(region, a, b), untiled)
 
 
 def test_wrapped_displacement_nearest_image():

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -146,50 +147,36 @@ class TestSinrField:
             for row, eta in zip(field, etas):
                 assert np.array_equal(row, sinr_field(layout, [eta], users)[0])
 
-    def test_independent_of_worker_count(self, worker_count, monkeypatch):
-        # row blocks decide only which thread computes a row, never its arithmetic
-        rng = np.random.default_rng(37)
-        layout = make_layout(rng.random((50, 2)) * 10.0)
-        users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
-        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * 50)  # blocks of 256 rows or more
-        assert 2001 * 50 // parallel.MIN_BLOCK_PAIRS >= 3  # three workers make three blocks
-        for etas in ((2.4, 3.3, 4.1), DEFAULT_ETAS):
-            fields = []
-            for workers in (1, 2, 3):
-                worker_count(workers)
-                fields.append(sinr_field(layout, etas, users))
-            assert all(np.array_equal(fields[0], f) for f in fields[1:])
-
-    def test_independent_of_tile_size(self, worker_count, monkeypatch):
-        # ragged tiles of 3 rows; the clamp's re-measures of moved users are tiled too
+    def test_independent_of_tile_size(self, monkeypatch):
+        # ragged tiles of 3 rows, each clamped on its own, give the one-tile field, and
+        # so do one-row tiles wider than TILE_ELEMENTS, for which a caller's scratch of
+        # 3 * TILE_ELEMENTS is too small and is replaced
         rng = np.random.default_rng(41)
         layout = make_layout(rng.random((50, 2)) * 10.0)
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
         d = torus_distance_matrix(layout.region, users.points, layout.stations)
         assert (d.min(axis=1) < users.exclusion_radius).sum() > 3  # the clamp moves users
-        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * 50)  # blocks of 256 rows or more
         for etas in ((2.4, 3.3, 4.1), DEFAULT_ETAS):
-            worker_count(1)
             monkeypatch.setattr(parallel, "TILE_ELEMENTS", d.size)
             untiled = sinr_field(layout, etas, users)
             monkeypatch.setattr(parallel, "TILE_ELEMENTS", 3 * layout.n_stations + 7)
-            for workers in (1, 2, 3):
-                worker_count(workers)
-                assert np.array_equal(sinr_field(layout, etas, users), untiled)
+            assert np.array_equal(sinr_field(layout, etas, users), untiled)
+            monkeypatch.setattr(parallel, "TILE_ELEMENTS", layout.n_stations - 7)
+            scratch = np.empty(3 * parallel.TILE_ELEMENTS)
+            assert np.array_equal(sinr_field(layout, etas, users, scratch=scratch), untiled)
 
 
 class CountingNumpy:
-    """numpy, counting the elements passed to exp, from any thread."""
+    """numpy, counting the elements passed to exp."""
 
     def __init__(self):
-        self.exp_elements, self._lock = 0, threading.Lock()
+        self.exp_elements = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def exp(self, x, *args, **kwargs):
-        with self._lock:
-            self.exp_elements += np.size(x)
+        self.exp_elements += np.size(x)
         return np.exp(x, *args, **kwargs)
 
 
@@ -221,14 +208,12 @@ class TestChainedGains:
             assert np.all(np.abs(row - single) <= bound)
 
     @pytest.mark.parametrize("etas", PROGRESSIONS + NOT_CHAINED)
-    def test_exp_work_count(self, monkeypatch, worker_count, etas):
+    def test_exp_work_count(self, monkeypatch, etas):
         # an evenly stepped list of 3 or more values pays exp for its first eta and for
-        # the step's factor; any other list pays it once per eta
+        # the step's factor, in every tile; any other list pays it once per eta
         rng = np.random.default_rng(47)
         layout = make_layout(rng.random((50, 2)) * 10.0)
         users = UserSet(points=rng.random((2001, 2)) * 10.0, exclusion_radius=0.2)
-        worker_count(2)
-        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 256 * 50)  # two blocks count exps
         counting = CountingNumpy()
         monkeypatch.setattr(SINR_MODULE, "np", counting)
         sinr_field(layout, etas, users)
@@ -272,24 +257,21 @@ class TestKernelAccuracy:
             assert np.isfinite(field[:, 1]).all()
 
     @pytest.mark.parametrize("etas", [DEFAULT_ETAS, DEFAULT_ETAS[::-1], (2.4, 3.3, 4.1)])
-    def test_split_layout_stays_silent_on_non_finite_sinr(self, worker_count, monkeypatch,
-                                                          etas):
-        # each block divides in its own thread, which must run under the caller's
-        # error state: two blocks of ragged tiles, the user on a station in the second
+    def test_split_layout_stays_silent_on_non_finite_sinr(self, monkeypatch, etas):
+        # ragged tiles, the user on a station in a later one, all on the calling thread
+        # under its error state
         rng = np.random.default_rng(47)
         layout = make_layout(rng.random((20, 2)) * 10.0)
         points = rng.random((300, 2)) * 10.0
         points[200] = layout.stations[3]
-        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 100 * 20)
         monkeypatch.setattr(parallel, "TILE_ELEMENTS", 7 * 20 + 3)
-        worker_count(2)
         start, started = threading.Thread.start, []
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: (started.append(thread), start(thread)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             field = sinr_field(layout, etas, UserSet(points=points, exclusion_radius=0.0))
-        assert len(started) == 2  # one extra block for the distances, one for the reduction
+        assert started == []
         finite = np.isfinite(field)
         assert not finite[:, 200].any()
         finite[:, 200] = True
@@ -314,17 +296,18 @@ class TestKernelAccuracy:
 
 
 def clamp_counting_measures(monkeypatch, layout, ue, radius):
-    """Run the clamp on ue in place; returns its distance rows, best servers and re-measures."""
-    distances, calls = SINR_MODULE.torus_distance_matrix, []
+    """Run the clamp on ue in place; returns its distance rows, best servers and the
+    rows of each of its re-measures."""
+    calls = []
 
     def counted_distances(*args):
-        calls.append(args)
-        return distances(*args)
+        calls.append(len(args[1]))
+        return torus_distance_matrix(*args)
 
-    d = distances(layout.region, ue, layout.stations)
+    d = torus_distance_matrix(layout.region, ue, layout.stations)
     monkeypatch.setattr(SINR_MODULE, "torus_distance_matrix", counted_distances)
     d, best = SINR_MODULE._clamp_to_exclusion(layout.region, layout.stations, ue, d, radius)
-    return d, best, len(calls)
+    return d, best, calls
 
 
 class TestExclusionClamp:
@@ -334,7 +317,7 @@ class TestExclusionClamp:
         layout = make_layout([[4, 4], [8, 7]])
         ue = np.array([[4.05, 4.05]])
         d, _, measures = clamp_counting_measures(monkeypatch, layout, ue, 0.3)
-        assert measures == 1
+        assert measures == [1]
         assert ue[0] == pytest.approx(4 + 0.3 / math.sqrt(2), abs=1e-15)
         assert d[0, 0] == pytest.approx(0.3, abs=1e-15)
         assert np.array_equal(d, torus_distance_matrix(layout.region, ue, layout.stations))
@@ -351,7 +334,7 @@ class TestExclusionClamp:
         assert image_distance(layout.region, Point(*ue[0]), station) == pytest.approx(0.3,
                                                                                        abs=1e-12)
         assert d[0, 0] == pytest.approx(0.3, abs=1e-12)
-        assert measures == 1
+        assert measures == [1]
 
 
     @pytest.mark.parametrize("radius, server_changes", [(0.2, False), (0.5, True)])
@@ -365,9 +348,35 @@ class TestExclusionClamp:
         ue = np.concatenate([stations, rng.random((400, 2)) * 10.0])
         first = np.argmin(torus_distance_matrix(layout.region, ue, stations), axis=1)
         d, best, measures = clamp_counting_measures(monkeypatch, layout, ue, radius)
-        assert measures > 0 and not np.array_equal(ue[:len(stations)], stations)
+        assert len(measures) > 0 and not np.array_equal(ue[:len(stations)], stations)
         assert np.array_equal(best, np.argmin(d, axis=1))
         assert (best[0] != first[0]) == server_changes
+
+
+    @pytest.mark.parametrize("radius, server_changes", [(0.2, False), (0.5, True)])
+    @pytest.mark.parametrize("rows", [5, 3])
+    def test_tile_by_tile_clamp_is_the_whole_matrix_clamp(self, monkeypatch, radius,
+                                                          server_changes, rows):
+        # sinr_field clamps each row tile on its own: a row's moves depend on its own
+        # distances alone, so ragged tiles move the same users to the same places,
+        # with the same re-measures, each tile in at most _CLAMP_PASSES passes
+        rng = np.random.default_rng(43)
+        stations = np.concatenate([[[5.0, 5.0], [5.6, 5.0]], rng.random((30, 2)) * 10.0])
+        layout = make_layout(stations)
+        ue = np.concatenate([stations, rng.random((401, 2)) * 10.0])
+        assert len(ue) % rows
+        first = np.argmin(torus_distance_matrix(layout.region, ue, stations), axis=1)
+        whole_ue = ue.copy()
+        whole_d, whole_best, whole_measures = clamp_counting_measures(monkeypatch, layout,
+                                                                      whole_ue, radius)
+        assert (whole_best[0] != first[0]) == server_changes
+        tiles = [clamp_counting_measures(monkeypatch, layout, ue[i:i + rows], radius)
+                 for i in range(0, len(ue), rows)]
+        assert np.array_equal(np.concatenate([d for d, _, _ in tiles]), whole_d)
+        assert np.array_equal(np.concatenate([best for _, best, _ in tiles]), whole_best)
+        assert np.array_equal(ue, whole_ue) and not np.array_equal(ue[:len(stations)], stations)
+        assert sum(sum(measures) for _, _, measures in tiles) == sum(whole_measures)
+        assert max(len(measures) for _, _, measures in tiles) <= SINR_MODULE._CLAMP_PASSES
 
 
 class TestMonteCarlo:
@@ -482,39 +491,26 @@ class TestMonteCarlo:
         doubled_total = sum(u * s for u, s in doubled) + doubled_remeasured
         assert doubled_total == pytest.approx(2 * total, rel=0.1)
 
-    def test_distance_buffer_grows_only_at_a_new_station_maximum(self, monkeypatch):
-        # each layout's distances go into a view of the run's one buffer, replaced only
-        # by a layout with more stations than every one before it
-        distances = SINR_MODULE.torus_distance_matrix
-        layouts = []  # (stations, buffer) of each layout's distance pass
-
-        def recorded_distances(region, a, b, out=None):
-            d = distances(region, a, b, out=out)
-            if out is not None:  # the clamp's re-measures take no buffer
-                assert d is out and d.nbytes == len(a) * len(b) * 8
-                layouts.append((len(b), out.base))
-            return d
-
-        monkeypatch.setattr(SINR_MODULE, "torus_distance_matrix", recorded_distances)
-        cfg = ExperimentConfig(runs=10, users=100, eta_list=(2.6, 3.0), exclusion=0.2, seed=4)
-        run_monte_carlo(cfg)
-        assert len(layouts) == cfg.runs
-        most, buffers = 0, []
-        for stations, buffer in layouts:
-            assert (stations > most) == (not buffers or buffer is not buffers[-1])
-            if stations > most:
-                most = stations
-                buffers.append(buffer)
-            assert buffer.size == cfg.users * most
-        assert 1 < len(buffers) < cfg.runs  # the run both kept and replaced its buffer
+    def test_run_allocates_no_distance_matrix(self):
+        # a run holds its samples, the UE set and its copy, and one scratch of 3
+        # tiles; a tile's small arrays stay within a fourth. A users x stations
+        # matrix, 8 MB here, would not fit
+        cfg = ExperimentConfig(runs=2, users=20_000, eta_list=(2.6, 3.0), seed=4)
+        run_monte_carlo(cfg)  # numpy's lazy set-up is not the run's
+        tracemalloc.start()
+        try:
+            run_monte_carlo(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples, ue = 8 * len(cfg.eta_list) * cfg.runs * cfg.users, 16 * cfg.users
+        assert peak <= samples + 2 * ue + 4 * 8 * parallel.TILE_ELEMENTS
 
     @pytest.mark.parametrize("etas", [DEFAULT_ETAS, (2.4, 3.3, 4.1)])
-    def test_samples_match_unbuffered_layouts(self, worker_count, monkeypatch, etas):
-        # the run's buffers change no bit of any layout's SINR, with the clamp moving
-        # users and the rows split into two blocks of ragged tiles
-        monkeypatch.setattr(parallel, "MIN_BLOCK_PAIRS", 64 * 40)
+    def test_samples_match_unbuffered_layouts(self, monkeypatch, etas):
+        # the run's scratch changes no bit of any layout's SINR, with the clamp moving
+        # users in ragged tiles
         monkeypatch.setattr(parallel, "TILE_ELEMENTS", 5 * 40 + 3)
-        worker_count(2)
         cfg = ExperimentConfig(runs=10, users=300, eta_list=etas, exclusion=0.2, seed=4)
         sweep = run_monte_carlo(cfg)
         region = SINR_MODULE.region_for_expected_count(cfg.expected_stations)

@@ -47,7 +47,8 @@ def test_traced_report_records_every_layer(tmp_path):
     # the work the report must do, from its config alone: one Poisson layout per
     # run plus the hexagonal lattice, each measured once for every eta
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
-    # a layout with fewer stations than an earlier one gets a view of a larger buffer
+    # each layout's tile is a view of the run's larger scratch, also for a layout with
+    # fewer stations than an earlier one
     region = region_for_expected_count(config.expected_stations)
     station_counts = [generate_poisson(region, child_seed(config.seed, k)).n_stations
                       for k in range(1, config.runs + 1)]
@@ -78,8 +79,8 @@ def test_traced_report_records_every_layer(tmp_path):
     assert counts["io.files"] == len(csv_files)
     assert {p.name for p in out.iterdir()} == csv_files | {"report.txt"}
 
-    # one distance pass per layout, for all eta; the clamp re-measures only the
-    # rows of users it moved, at most once a pass
+    # one distance pass per row tile, for all eta, and each of these layouts is one
+    # tile; the clamp re-measures only the rows of users it moved, at most once a pass
     stations = counts["placement.stations"]
     field_pairs = config.users * stations
     remeasures = counts["geometry.pairs"] - field_pairs
