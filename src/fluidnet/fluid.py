@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .placement import DENSITY
 
-# Newton steps allowed to invert_sinr_db, well above those it takes (CHANGES.md).
+# Newton steps allowed to invert_sinr_db and _gauss_rule, far more than they take (CHANGES.md).
 _NEWTON_MAX_ITER = 50
 # Radius of the disk whose area equals the mean cell area 1/DENSITY,
 # sqrt(2*sqrt(3)/pi) ~ 1.05; spreading UEs over this disk mirrors a user
@@ -162,11 +162,24 @@ def cell_edge_throughput(m: FluidModel) -> float:
 
 @functools.cache
 def _gauss_rule() -> tuple:
-    """Nodes and weights on [-1, 1] of the rule behind average_cell_throughput,
-    built on first use: only that table loads numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(64)
+    """Ascending nodes and weights on [-1, 1] of the n = 64 point Gauss-Legendre
+    rule, without LAPACK: Newton's method from cos(pi (k - 1/4) / (n + 1/2)) finds
+    the positive roots of P_n, from j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2); the
+    weights are 2 / ((1 - x^2) P_n'^2), with P_n' = n (P_(n-1) - x P_n) / (1 - x^2)."""
+    n = 64  # even: the negative half mirrors the positive one
+    x = np.cos(math.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5))
+    for _ in range(_NEWTON_MAX_ITER):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        one_minus_sq = (1.0 - x) * (1.0 + x)  # accurate near x = 1
+        slope = n * (p_prev - x * p) / one_minus_sq
+        step = p / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:  # rounding noise: slope is P_n' at the root
+            break
+    w = 2.0 / (one_minus_sq * slope**2)
+    return np.concatenate((-x, x[::-1])), np.concatenate((w, w[::-1]))
 
 
 def average_cell_throughput(m: FluidModel, exclusion: float) -> float:

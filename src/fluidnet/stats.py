@@ -118,7 +118,9 @@ def mean_horizontal_shift(reference, target) -> float:
 
 
 def fit_linear(etas, shifts) -> ShiftFit:
-    """Ordinary least squares line shift = a*eta + b."""
+    """Ordinary least squares line shift = a*eta + b, in closed form about the
+    means: a = sum(dx*dy) / sum(dx^2) and b = mean(y) - a*mean(x), with dx =
+    x - mean(x) and dy = y - mean(y). DomainError if the line overflows."""
     x = np.asarray(etas, dtype=float)
     y = np.asarray(shifts, dtype=float)
     if x.size != y.size or x.size < 2:
@@ -127,13 +129,19 @@ def fit_linear(etas, shifts) -> ShiftFit:
         raise DomainError("cannot fit a line through non-finite points")
     if np.ptp(x) == 0:
         raise DomainError("all eta values are equal")
-    a, b = np.polyfit(x, y, deg=1)
-    predicted = a * x + b
-    residuals = y - predicted
+    with np.errstate(all="ignore"):
+        x_mean, y_mean = x.mean(), y.mean()
+        a = np.sum((x - x_mean) * (y - y_mean)) / np.sum(np.square(x - x_mean))
+        b = y_mean - a * x_mean
+        predicted = a * x + b
+        residuals = y - predicted
+        rms = np.sqrt(np.mean(residuals**2))
+    if not np.isfinite([a, b, rms]).all():
+        raise DomainError("the fitted line is non-finite")
     return ShiftFit(etas=tuple(x), shifts_db=tuple(y),
                     coefficients=FitCoefficients(a=float(a), b=float(b)),
                     predicted_db=tuple(predicted), residuals_db=tuple(residuals),
-                    rms_residual_db=float(np.sqrt(np.mean(residuals**2))))
+                    rms_residual_db=float(rms))
 
 
 def correlation_coefficient(xs, ys) -> float:

@@ -556,18 +556,18 @@ class TestCli:
                                 text=True, check=True)
         assert result.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("argv, loaded", [
-        (["report", "--runs", "1", "--users", "20", "--eta", "3,4"], ["numpy.polynomial"]),
-        (["fit", "--runs", "2", "--users", "20", "--eta", "3,4"], []),
-        (["cdf", "--model", "poisson", "--runs", "1", "--users", "20", "--eta", "3"], []),
-        (["cdf", "--model", "hex", "--users", "20", "--eta", "3"], []),
-        (["cdf", "--model", "fluid", "--eta", "3"], []),
-        (["generate", "--model", "poisson"], []),
-        (["generate", "--model", "hex"], []),
-    ])
+    SMALL_RUNS = [["report", "--runs", "1", "--users", "20", "--eta", "3,4"],
+                  ["fit", "--runs", "2", "--users", "20", "--eta", "3,4"],
+                  ["cdf", "--model", "poisson", "--runs", "1", "--users", "20", "--eta", "3"],
+                  ["cdf", "--model", "hex", "--users", "20", "--eta", "3"],
+                  ["cdf", "--model", "fluid", "--eta", "3"],
+                  ["generate", "--model", "poisson"],
+                  ["generate", "--model", "hex"]]
+
+    @pytest.mark.parametrize("argv, loaded", [(argv, []) for argv in SMALL_RUNS])
     def test_runs_load_neither_numpy_random_nor_openssl(self, tmp_path, argv, loaded):
         # numpy.random loads OpenSSL through secrets and hmac, and hashlib through
-        # _hashlib; only the throughput table needs numpy.polynomial
+        # _hashlib; the throughput table's Gauss-Legendre rule needs no numpy.polynomial
         code = ("import sys\nfrom fluidnet.cli import main\n"
                 f"assert main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
                 "print(sorted(m for m in ('numpy.random', 'secrets', 'hmac', '_hashlib',\n"
@@ -576,6 +576,21 @@ class TestCli:
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, check=True)
         assert result.stdout.splitlines()[-1] == str(loaded)
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS)
+    def test_runs_call_no_lapack(self, tmp_path, argv):
+        # every numpy.linalg routine that reaches LAPACK goes through _umath_linalg
+        code = ("import numpy.linalg._linalg as linalg\n"
+                "class NoLapack:\n"
+                "    def __getattr__(self, name):\n"
+                "        raise RuntimeError(f'LAPACK call: {name}')\n"
+                "linalg._umath_linalg = NoLapack()\n"
+                "from fluidnet.cli import main\n"
+                f"raise SystemExit(main({[*argv, '--out', str(tmp_path / 'out')]!r}))")
+        env = {**os.environ, "PYTHONPATH": str(Path(fluidnet.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("config", [
         ExperimentConfig(),

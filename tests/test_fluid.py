@@ -283,6 +283,22 @@ class TestThroughput:
                         exclusion, 1.0, epsabs=1e-13, epsrel=1e-13, limit=500)
         assert abs(average_cell_throughput(m, exclusion) - value) <= 1e-10
 
+    def test_gauss_rule_matches_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = fluid._gauss_rule()
+        ref_nodes, ref_weights = leggauss(64)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 2.3e-16
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-13 * ref_weights.max()
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert abs(math.fsum(weights) - 2.0) <= 4.5e-16
+
+    def test_gauss_rule_integrates_polynomials_of_degree_127(self):
+        nodes, weights = fluid._gauss_rule()
+        for k in range(128):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(np.dot(weights, nodes**k) - exact) <= 1e-14, k
+
     def test_average_at_least_cell_edge(self):
         for eta in (2.5, 3.0, 4.0):
             m = model(eta)

@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -197,6 +200,49 @@ class TestFitLinear:
         with pytest.raises(DomainError, match="non-finite"):
             fit_linear(etas, shifts)
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("etas, shifts", [
+        ([2.5, 3.5], [1e308, -1e308]),  # the slope overflows
+        ([2.5, 3.0, 3.5], [1e200, -1e200, 1e200]),  # a finite line, the rms overflows
+    ])
+    def test_overflowing_fit_rejected_without_warning(self, etas, shifts, capfd):
+        # finite points, but a DomainError rather than an inf/nan line or rms, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                fit_linear(etas, shifts)
+        assert capfd.readouterr().err == ""
+
+
+def _exact_line(xs, ys):
+    """The least-squares line through the float points, in exact rationals."""
+    x, y = [Fraction(float(v)) for v in xs], [Fraction(float(v)) for v in ys]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    a = (sum((u - x_mean) * (v - y_mean) for u, v in zip(x, y))
+         / sum((u - x_mean) ** 2 for u in x))
+    return a, y_mean - a * x_mean, x_mean, y_mean
+
+
+def _seeded_sets():
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        etas = np.sort(rng.uniform(2.2, 4.2, 7))
+        yield etas, 3.0 * etas - 6.0 + rng.normal(0.0, 0.3, 7)
+    yield [2.8, 3.6], [2.4, 4.8]
+    yield [2.6, 3.8], [-0.37, 5.1]
+    etas = np.linspace(2.6, 3.8, 7)
+    yield etas, 3.0 * etas - 6.0
+    yield etas, -0.5 * etas + 1.25
+
+
+@pytest.mark.parametrize("etas, shifts", list(_seeded_sets()))
+def test_fit_linear_matches_exact_least_squares(etas, shifts):
+    # a few ulp: a relative to itself, b relative to the two terms it is the difference of
+    a, b, x_mean, y_mean = _exact_line(etas, shifts)
+    fit = fit_linear(etas, shifts).coefficients
+    eps = np.finfo(float).eps
+    assert abs(Fraction(fit.a) - a) <= 8 * eps * abs(a)
+    assert abs(Fraction(fit.b) - b) <= 8 * eps * (abs(y_mean) + abs(a * x_mean))
 
 
 class TestCorrelation:
